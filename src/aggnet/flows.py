@@ -18,6 +18,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from .errors import BadParams, LPNumericalFailure, TooManyTrees
@@ -58,9 +59,6 @@ class Schedule:
             if r < 0:
                 raise BadParams(f"negative rate {r} on link {l}")
 
-    def rate(self, link) -> float:
-        return self.rates.get(link, 0.0)
-
 
 @dataclass(frozen=True)
 class ScheduleSet:
@@ -98,8 +96,13 @@ def load_schedule_set(path) -> ScheduleSet:
     with open(path) as fh:
         doc = json.load(fh)
     schedules = []
-    for entry in doc["schedules"]:
+    for idx, entry in enumerate(doc["schedules"]):
         links = tuple((int(u), int(v)) for u, v in entry["links"])
+        if "rates" not in entry:
+            raise BadParams(f"schedule {idx} has no rates")
+        if len(entry["rates"]) != len(links):
+            raise BadParams(f"schedule {idx} lists {len(links)} links but "
+                            f"{len(entry['rates'])} rates")
         rates = {l: float(r) for l, r in zip(links, entry["rates"])}
         schedules.append(Schedule(links, rates))
     return ScheduleSet(tuple(schedules))
@@ -395,6 +398,12 @@ def tree_packing_lp(g: NetworkGraph, caps: RateVector, trees) -> TreePacking:
 # Optimal static service split
 # ---------------------------------------------------------------------------
 
+def _coo(triples, shape):
+    """Sparse matrix from (row, col, value) triples."""
+    t = np.array(triples, dtype=float).reshape(-1, 3)
+    return sp.coo_array((t[:, 2], (t[:, 0].astype(int), t[:, 1].astype(int))), shape=shape)
+
+
 def optimal_sss(g: NetworkGraph, schedule_set: ScheduleSet):
     """Best time-sharing over schedules: maximizes the induced min-mincut.
 
@@ -409,57 +418,45 @@ def optimal_sss(g: NetworkGraph, schedule_set: ScheduleSet):
     links = list(g.links)
     n_links = len(links)
     link_idx = {l: k for k, l in enumerate(links)}
-    sensors = g.sensors
+    sensors = g.sensors  # every node but the aggregator
+    sensor_idx = {v: si for si, v in enumerate(sensors)}
     n_sens = len(sensors)
+    n_flows = n_sens * n_links
 
     # Variable layout: [pi (n_sched)] [flows f^i_e (n_sens * n_links)] [lam].
-    n_var = n_sched + n_sens * n_links + 1
-    lam_col = n_var - 1
+    # Flow conservation at every non-aggregator node, one block per sensor:
+    # +1 where a link leaves the node, -1 where it enters, and -lam at the
+    # sensor's own row, since its flow leaves it with value lam.
+    incidence = _coo([(sensor_idx[v], li, sign)
+                      for li, (x, y) in enumerate(links)
+                      for v, sign in ((x, 1.0), (y, -1.0)) if v != g.aggregator],
+                     (n_sens, n_links))
+    lam_out = _coo([(si * n_sens + si, 0, -1.0) for si in range(n_sens)],
+                   (n_sens * n_sens, 1))
+    a_eq = sp.vstack([
+        sp.hstack([np.ones((1, n_sched)), sp.coo_array((1, n_flows + 1))]),
+        sp.hstack([sp.coo_array((n_sens * n_sens, n_sched)),
+                   sp.kron(sp.identity(n_sens), incidence), lam_out]),
+    ])
+    b_eq = np.zeros(a_eq.shape[0])
+    b_eq[0] = 1.0
 
-    def f_col(si, li):
-        return n_sched + si * n_links + li
+    # Capacity: each sensor's flow on a link stays within the induced rate,
+    # f^i_l - sum_k pi_k rate_k(l) <= 0.
+    rate = _coo([(link_idx[l], k, -r) for k, s in enumerate(schedules)
+                 for l, r in s.rates.items() if r],
+                (n_links, n_sched))
+    a_ub = sp.hstack([sp.vstack([rate] * n_sens), sp.identity(n_flows),
+                      sp.coo_array((n_flows, 1))])
 
-    eq_rows = []
-    eq_rhs = []
-    row = np.zeros(n_var)
-    row[:n_sched] = 1.0
-    eq_rows.append(row)
-    eq_rhs.append(1.0)
-
-    for si, i in enumerate(sensors):
-        for v in range(g.n):
-            if v == g.aggregator:
-                continue
-            row = np.zeros(n_var)
-            for li, (x, y) in enumerate(links):
-                if x == v:
-                    row[f_col(si, li)] += 1.0
-                if y == v:
-                    row[f_col(si, li)] -= 1.0
-            if v == i:
-                row[lam_col] = -1.0
-            eq_rows.append(row)
-            eq_rhs.append(0.0)
-
-    ub_rows = []
-    ub_rhs = []
-    for si in range(n_sens):
-        for li, l in enumerate(links):
-            row = np.zeros(n_var)
-            row[f_col(si, li)] = 1.0
-            for k, sched in enumerate(schedules):
-                row[k] -= sched.rate(l)
-            ub_rows.append(row)
-            ub_rhs.append(0.0)
-
-    c = np.zeros(n_var)
-    c[lam_col] = -1.0
+    c = np.zeros(a_eq.shape[1])
+    c[-1] = -1.0
     res = linprog(
         c,
-        A_ub=np.array(ub_rows),
-        b_ub=np.array(ub_rhs),
-        A_eq=np.array(eq_rows),
-        b_eq=np.array(eq_rhs),
+        A_ub=a_ub,
+        b_ub=np.zeros(n_flows),
+        A_eq=a_eq,
+        b_eq=b_eq,
         bounds=(0, None),
         method="highs",
     )
@@ -479,7 +476,7 @@ def optimal_sss(g: NetworkGraph, schedule_set: ScheduleSet):
     for k, w in pi.items():
         for l, r in schedules[k].rates.items():
             induced[l] += w * r
-    lam = float(res.x[lam_col])
+    lam = float(res.x[-1])
 
     # The returned lam must equal the min-mincut under the induced rates.
     check, _ = min_mincut(g, induced)

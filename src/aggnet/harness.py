@@ -274,10 +274,13 @@ def sweep(cfg: ExperimentConfig) -> SweepResult:
     func = cfg.load_function()
 
     analytic = {}
-    delta_star, argmin_node = flows.min_mincut(g, g.capacity)
     if cfg.model == "wireless":
-        schedule_set = cfg.load_schedules(g)
-        _, _, delta_star = flows.optimal_sss(g, schedule_set)
+        # The bottleneck node is the one under the split's induced rates,
+        # as in `aggnet analyze`, not under the wired capacities.
+        _, induced, delta_star = flows.optimal_sss(g, cfg.load_schedules(g))
+        _, argmin_node = flows.min_mincut(g, induced)
+    else:
+        delta_star, argmin_node = flows.min_mincut(g, g.capacity)
     analytic["delta_star"] = delta_star
     analytic["argmin_node"] = argmin_node
     analytic["lambda_star"] = flows.max_refresh_rate(delta_star, func)

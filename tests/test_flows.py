@@ -4,9 +4,13 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from aggnet import flows, graph
 from aggnet.errors import BadParams, TooManyTrees
+from aggnet.harness import random_digraph
 
 
 def enumerate_cut_value(g, caps, s, t):
@@ -54,7 +58,6 @@ def test_max_flow_zero_caps(triangle):
 
 
 def test_max_flow_duality_random_digraphs():
-    from aggnet.harness import random_digraph
     for seed in range(15):
         g = random_digraph(seed, n_max=6)
         for s in g.sensors:
@@ -102,7 +105,6 @@ def test_enumerate_triangle(triangle):
 
 def test_enumerate_counts_match_matrix_tree(k5):
     assert len(flows.enumerate_aggregation_trees(k5)) == arborescence_count(k5) == 125
-    from aggnet.harness import random_digraph
     for seed in range(8):
         g = random_digraph(seed + 50, n_max=5)
         assert len(flows.enumerate_aggregation_trees(g)) == arborescence_count(g)
@@ -139,7 +141,6 @@ def test_packing_line_bottleneck():
 
 
 def test_packing_equals_min_mincut_on_random_digraphs():
-    from aggnet.harness import random_digraph
     for seed in range(20):
         g = random_digraph(seed + 200)
         cut, _ = flows.min_mincut(g, g.capacity)
@@ -223,6 +224,62 @@ def test_optimal_sss_monotone_in_schedules(triangle, shared_channel):
         before = after
 
 
+def cut_form_sss(g, schedule_set):
+    """Independent oracle: the split's value in cut form, by a dense LP.
+
+    Maximizes lam over weights pi on the simplex, subject to lam being at
+    most the induced capacity out of every node set that holds a sensor
+    but not the aggregator.
+    """
+    schedules = schedule_set.schedules
+    rows = []
+    for k in range(1, len(g.sensors) + 1):
+        for part in combinations(g.sensors, k):
+            out = [(u, v) for u, v in g.links if u in part and v not in part]
+            rows.append([-sum(s.rates.get(l, 0.0) for l in out) for s in schedules] + [1.0])
+    c = np.zeros(len(schedules) + 1)
+    c[-1] = -1.0
+    res = linprog(c, A_ub=np.array(rows), b_ub=np.zeros(len(rows)),
+                  A_eq=np.array([[1.0] * len(schedules) + [0.0]]), b_eq=[1.0],
+                  bounds=(0, None), method="highs")
+    assert res.success
+    return -res.fun
+
+
+@st.composite
+def digraph_with_schedules(draw):
+    g = random_digraph(draw(st.integers(0, 10_000)), n_max=6)
+    schedules = []
+    for _ in range(draw(st.integers(1, 4))):
+        links = draw(st.lists(st.sampled_from(g.links), min_size=1, unique=True))
+        rates = draw(st.lists(st.integers(0, 8), min_size=len(links), max_size=len(links)))
+        schedules.append(flows.Schedule(tuple(links),
+                                        {l: r / 2 for l, r in zip(links, rates)}))
+    return g, flows.ScheduleSet(tuple(schedules))
+
+
+@settings(max_examples=60, deadline=None)
+@given(digraph_with_schedules())
+def test_optimal_sss_matches_cut_form_oracle(instance):
+    g, ss = instance
+    rule, induced, lam = flows.optimal_sss(g, ss)
+    assert abs(lam - cut_form_sss(g, ss)) <= 1e-6
+    assert all(w >= 0.0 for w in rule.weights.values())
+    assert abs(sum(rule.weights.values()) - 1.0) <= 1e-9
+    assert abs(flows.min_mincut(g, induced)[0] - lam) <= 1e-6
+
+
+def test_optimal_sss_at_scale():
+    # Sizes the service-split LP only reaches when built sparse.
+    g81 = graph.generate("grid", n=81)
+    _, _, lam = flows.optimal_sss(g81, flows.wireline_schedule_set(g81))
+    assert abs(lam - 2.0) <= 1e-6
+    g49 = graph.generate("grid", n=49)
+    one_link = flows.ScheduleSet(tuple(flows.Schedule((l,), {l: 1.0}) for l in g49.links))
+    _, _, lam = flows.optimal_sss(g49, one_link)
+    assert abs(lam - 1.0 / 48) <= 1e-6
+
+
 def test_flows_determinism(triangle, shared_channel):
     a = flows.optimal_sss(triangle, shared_channel)
     b = flows.optimal_sss(triangle, shared_channel)
@@ -263,3 +320,16 @@ def test_schedule_validation(triangle):
     ss = flows.ScheduleSet((flows.Schedule(((9, 0),), {(9, 0): 1.0}),))
     with pytest.raises(BadParams):
         ss.validate_links(triangle)
+
+
+@pytest.mark.parametrize("entry", [
+    {"links": [[1, 0], [2, 0]], "rates": [1.0]},
+    {"links": [[1, 0]], "rates": [1.0, 2.0]},
+    {"links": [[1, 0]]},
+], ids=["short-rates", "long-rates", "missing-rates"])
+def test_load_schedule_set_rejects_malformed_entry(tmp_path, entry):
+    path = tmp_path / "s.json"
+    good = {"links": [[2, 1]], "rates": [1.0]}
+    path.write_text(json.dumps({"schedules": [good, entry]}))
+    with pytest.raises(BadParams, match="schedule 1"):
+        flows.load_schedule_set(path)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from aggnet import harness
+from aggnet import flows, harness
 from aggnet.errors import BadParams, SeriesTooShort
 from aggnet.harness import DetectorParams, ExperimentConfig, detect_stability
 
@@ -203,6 +203,19 @@ def test_sweep_wireless_static_policy(triangle, shared_channel):
     result = harness.sweep(cfg)
     assert result.verdicts[(0.3, 4)].verdict == "stable"
     assert result.analytic["delta_star"] == pytest.approx(0.5, abs=1e-6)
+
+
+def test_sweep_wireless_argmin_from_induced_rates():
+    # With one link at a time, the bottleneck under the split's induced
+    # rates (node 1) differs from the one under wired capacities (node 2).
+    g = harness.random_digraph(4)
+    one_link = flows.ScheduleSet(tuple(flows.Schedule((l,), {l: 1.0}) for l in g.links))
+    _, induced, _ = flows.optimal_sss(g, one_link)
+    assert flows.min_mincut(g, g.capacity)[1] == 2
+    assert flows.min_mincut(g, induced)[1] == 1
+    cfg = ExperimentConfig(model="wireless", graph=g, schedules=one_link,
+                           lambdas=[0.1], seeds=[1], horizon=200)
+    assert harness.sweep(cfg).analytic["argmin_node"] == 1
 
 
 # ---------------------------------------------------------------------------
