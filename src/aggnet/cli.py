@@ -47,11 +47,11 @@ def analyze(graph_path, schedules_path, func_name, k, alphabet_size, trees_spec,
         schedule_set = flows.load_schedule_set(schedules_path)
         rule, rates, delta_star = flows.optimal_sss(g, schedule_set)
         sss = {str(k_): w for k_, w in sorted(rule.weights.items()) if w > 1e-12}
+        _, argmin_node = flows.min_mincut(g, rates)
     else:
         rates = dict(g.capacity)
-        delta_star, _ = flows.min_mincut(g, rates)
+        delta_star, argmin_node = flows.min_mincut(g, rates)
         sss = None
-    _, argmin_node = flows.min_mincut(g, rates)
 
     if trees_spec == "all":
         trees = flows.enumerate_aggregation_trees(g, tree_limit)

@@ -14,6 +14,16 @@ the at-most-one-per-link active rounds are tracked individually.  Uniform
 selection then weights classes by their occupancy, which keeps the event
 loop independent of how many rounds are in flight.
 
+Usefulness depends on the footprint alone, so it is computed once per
+footprint, from node bitmasks, as the ascending list of useful links and
+the same set as a bitmask over link indices.  Each link keeps an index of
+the idle classes useful on it (footprint -> rounds, insertion-ordered).
+A class enters every index it belongs to when it is created and leaves
+them when it empties, so each index lists its classes in the order of
+the class table: a draw on a freed link sums and walks only that link's
+index, and picks exactly the packet a scan over every class would.
+After an event only the changed round's useful links are revisited.
+
 Concurrent transfers of one round need care the per-transmission rules
 don't provide on their own:
 
@@ -215,12 +225,13 @@ def fluid_lyapunov(g: NetworkGraph, x, alpha: float) -> float:
 # ---------------------------------------------------------------------------
 
 class _Round:
-    __slots__ = ("rid", "fp", "origins", "dests", "edges", "payloads", "sensed",
-                 "t_arrive", "contrib")
+    __slots__ = ("rid", "fp", "useful", "origins", "dests", "edges", "payloads",
+                 "sensed", "t_arrive", "contrib")
 
-    def __init__(self, rid, fp, payloads, sensed, t_arrive):
+    def __init__(self, rid, fp, useful, payloads, sensed, t_arrive):
         self.rid = rid
         self.fp = fp
+        self.useful = useful    # (useful links, link bitmask) of fp
         self.origins = 0        # nodes currently transmitting this round
         self.dests = {}         # node -> count of in-flight transfers toward it
         self.edges = set()      # link indices carrying this round
@@ -282,15 +293,12 @@ class WirelineSimulator:
         self.a_bit = 1 << self.a
         self.full_mask = (1 << n) - 1
         self.out_mask = [0] * n
-        self.in_mask = [0] * n
         for u, v in g.links:
             self.out_mask[u] |= 1 << v
-            self.in_mask[v] |= 1 << u
         self.links = list(g.links)
         self.nlinks = len(self.links)
         self.link_rate = [g.capacity[l] for l in self.links]
         self.link_u = [u for u, _ in self.links]
-        self.link_v = [v for _, v in self.links]
         self.link_uvmask = [(1 << u) | (1 << v) for u, v in self.links]
         self.acyclic = g.is_acyclic()
 
@@ -302,7 +310,16 @@ class WirelineSimulator:
         self._next_rid = 0
         self._seq = 0
         self._heap = []
-        self._memo_by_link = [dict() for _ in range(self.nlinks)]
+        # Per node, as bitmasks over link indices: its live (rate > 0)
+        # out-links, and all its in-links.
+        self._out_links = [0] * n
+        self._in_links = [0] * n
+        for link_idx, (u, v) in enumerate(self.links):
+            self._in_links[v] |= 1 << link_idx
+            if self.link_rate[link_idx] > 0:
+                self._out_links[u] |= 1 << link_idx
+        self._useful_memo = {}                # fp -> (useful links, link bitmask)
+        self._idle_by_link = [dict() for _ in range(self.nlinks)]  # fp -> rounds
         self._valid_memo = {}
         self._sensors = g.sensors
         # Sensor sampling: one bit-draw per value when the alphabet allows.
@@ -320,30 +337,59 @@ class WirelineSimulator:
             self._valid_memo[mask] = cached
         return cached
 
-    def _class_useful(self, link_idx, fp):
-        """Usefulness of an idle round with footprint `fp` across the link."""
-        memo = self._memo_by_link[link_idx]
-        cached = memo.get(fp)
-        if cached is not None:
-            return cached
-        u, v = self.links[link_idx]
-        ub = 1 << u
-        ok = u != self.a and bool(fp & ub) and bool(fp & (1 << v))
-        if ok:
-            # Non-isolation: every in-neighbor of u still holding the round
-            # (the aggregator aside) keeps at least two footprint out-neighbors.
-            m = fp & self.in_mask[u] & ~self.a_bit
+    def _useful(self, fp):
+        """Links an idle round with footprint `fp` has a useful packet on.
+
+        Returns the link indices in ascending order and the same set as a
+        bitmask over link indices.  A sensor w of the footprint with fewer
+        than two footprint out-neighbors pins them: sending from one would
+        isolate w (non-isolation).  Every other footprint node except the
+        aggregator may send on any live out-link whose head holds the
+        round; on cyclic graphs the remaining footprint must also stay
+        valid.
+        """
+        got = self._useful_memo.get(fp)
+        if got is not None:
+            return got
+        out_mask = self.out_mask
+        out_links = self._out_links
+        in_links = self._in_links
+        pinned = 0
+        sending = 0   # live out-links of footprint nodes
+        held = in_links[self.a] if fp & self.a_bit else 0   # links into fp
+        m = fp & ~self.a_bit
+        while m:
+            lsb = m & -m
+            w = lsb.bit_length() - 1
+            heads = fp & out_mask[w]
+            if not heads & (heads - 1):
+                pinned |= heads
+            sending |= out_links[w]
+            held |= in_links[w]
+            m ^= lsb
+        mask = sending & held
+        # Pinned nodes may not send; on cyclic graphs neither may a node
+        # whose departure leaves the footprint invalid.
+        barred = pinned
+        if not self.acyclic:
+            m = fp & ~pinned & ~self.a_bit
             while m:
                 lsb = m & -m
-                w = lsb.bit_length() - 1
-                if (fp & self.out_mask[w]).bit_count() < 2:
-                    ok = False
-                    break
+                if not self._footprint_valid(fp & ~lsb):
+                    barred |= lsb
                 m ^= lsb
-        if ok and not self.acyclic:
-            ok = self._footprint_valid(fp & ~ub)
-        memo[fp] = ok
-        return ok
+        while barred:
+            lsb = barred & -barred
+            mask &= ~out_links[lsb.bit_length() - 1]
+            barred ^= lsb
+        links = []
+        rest = mask
+        while rest:
+            lsb = rest & -rest
+            links.append(lsb.bit_length() - 1)
+            rest ^= lsb
+        got = self._useful_memo[fp] = (tuple(links), mask)
+        return got
 
     def is_useful(self, rid, link) -> bool:
         """Whether round `rid` has a useful packet across the (idle) link.
@@ -355,14 +401,13 @@ class WirelineSimulator:
         """
         r = self._find(rid)
         link_idx = self.links.index(tuple(link))
-        return self._round_eligible(r, link_idx, link[0], link[1])
+        return self._round_eligible(r, link_idx)
 
-    def _round_eligible(self, r, link_idx, u, v):
+    def _round_eligible(self, r, link_idx):
         return (
-            not (r.origins >> u) & 1
-            and not (r.origins >> v) & 1
-            and u not in r.dests
-            and self._class_useful(link_idx, r.fp)
+            not r.origins & self.link_uvmask[link_idx]
+            and self.link_u[link_idx] not in r.dests
+            and bool(r.useful[1] >> link_idx & 1)
         )
 
     def _find(self, rid) -> _Round:
@@ -386,10 +431,11 @@ class WirelineSimulator:
             for node in footprint:
                 keep |= 1 << node
             r.fp = keep
+            r.useful = self._useful(keep)
             r.payloads = {i: p for i, p in r.payloads.items() if keep >> i & 1}
             if r.contrib is not None:
                 r.contrib = {i: s for i, s in r.contrib.items() if keep >> i & 1}
-        self.idle.setdefault(r.fp, []).append(r)
+        self._park(r)
         return rid
 
     def _make_round(self, values=None) -> int:
@@ -412,13 +458,33 @@ class WirelineSimulator:
         payloads[self.a] = f.empty_payload
         rid = self._next_rid
         self._next_rid += 1
-        r = _Round(rid, self.full_mask, payloads, values, self.now)
+        r = _Round(rid, self.full_mask, self._useful(self.full_mask), payloads, values,
+                   self.now)
         if self.debug:
             r.contrib = {i: {i} for i in sensors}
             r.contrib[self.a] = set()
         self._floating = r
         self.in_flight += 1
         return rid
+
+    # -- idle classes -------------------------------------------------------
+
+    def _park(self, r):
+        """Put a round with no transfer in flight into its idle class.
+
+        A new class is also entered in the index of every link it is useful
+        on.  Classes enter and leave the per-link dicts exactly when they
+        enter and leave `idle`, so each dict lists the link's useful classes
+        in `idle` order.
+        """
+        rounds = self.idle.get(r.fp)
+        if rounds is not None:
+            rounds.append(r)
+            return
+        rounds = self.idle[r.fp] = [r]
+        by_link = self._idle_by_link
+        for link_idx in r.useful[0]:
+            by_link[link_idx][r.fp] = rounds
 
     # -- transfers ----------------------------------------------------------
 
@@ -430,6 +496,9 @@ class WirelineSimulator:
             rounds.pop()
             if not rounds:
                 del self.idle[from_idle_class]
+                by_link = self._idle_by_link
+                for li in r.useful[0]:
+                    del by_link[li][from_idle_class]
         if r.rid not in self.active:
             self.active[r.rid] = r
         r.origins |= 1 << u
@@ -466,35 +535,21 @@ class WirelineSimulator:
         if self.busy[link_idx] is not None or self.link_rate[link_idx] <= 0:
             return None
         u = self.link_u[link_idx]
-        v = self.link_v[link_idx]
-        memo_get = self._memo_by_link[link_idx].get
-        class_useful = self._class_useful
-        classes = []
-        total = 0
-        for fp, rounds in self.idle.items():
-            ok = memo_get(fp)
-            if ok is None:
-                ok = class_useful(link_idx, fp)
-            if ok:
-                classes.append((fp, len(rounds)))
-                total += len(rounds)
-        actives = []
-        for r in self.active.values():
-            origins = r.origins
-            if not (origins >> u) & 1 and not (origins >> v) & 1 \
-                    and u not in r.dests:
-                ok = memo_get(r.fp)
-                if ok is None:
-                    ok = class_useful(link_idx, r.fp)
-                if ok:
-                    actives.append(r)
-                    total += 1
-        if extra is not None and self._round_eligible(extra, link_idx, u, v):
+        uvmask = self.link_uvmask[link_idx]
+        classes = self._idle_by_link[link_idx]
+        actives = [
+            r for r in self.active.values()
+            if not r.origins & uvmask and u not in r.dests
+            and r.useful[1] >> link_idx & 1
+        ]
+        total = sum(map(len, classes.values())) + len(actives)
+        if extra is not None and self._round_eligible(extra, link_idx):
             total += 1
         if total == 0:
             return None
         pick = self.rng.randrange(total)
-        for fp, count in classes:
+        for fp, rounds in classes.items():
+            count = len(rounds)
             if pick < count:
                 return ("idle", (fp, pick))
             pick -= count
@@ -562,6 +617,7 @@ class WirelineSimulator:
         if r.fp == self.a_bit:
             self._finish_round(r)
             return None
+        r.useful = self._useful(r.fp)
         if r.edges:
             return r
         del self.active[r.rid]
@@ -615,14 +671,14 @@ class WirelineSimulator:
                 r = self._floating
                 self._activity_pass(changed=r, freed=None)
                 if not r.edges:
-                    self.idle.setdefault(r.fp, []).append(r)
+                    self._park(r)
                 self._seq += 1
                 heappush(heap, (t + self.rng.expovariate(self.lam), self._seq, -1))
             else:
                 r = self.complete_transfer(link_idx)
                 self._activity_pass(changed=r, freed=link_idx)
                 if r is not None and not r.edges:
-                    self.idle.setdefault(r.fp, []).append(r)
+                    self._park(r)
 
             if self.in_flight > m.max_in_flight:
                 m.max_in_flight = self.in_flight
@@ -641,10 +697,10 @@ class WirelineSimulator:
         """Restore the work-conservation condition after one event.
 
         Any link that was already idle had no useful packets before the
-        event, so the only round it may newly serve is the changed one; the
-        freed link instead needs a full uniform selection over everything.
+        event, so the only round it may newly serve is the changed one, and
+        only on the links its footprint makes useful; the freed link instead
+        needs a full uniform selection over everything.
         """
-        busy = self.busy
         if freed is not None:
             extra = changed if changed is not None and not changed.edges \
                 and changed.rid not in self.active else None
@@ -652,41 +708,40 @@ class WirelineSimulator:
         if changed is None:
             return
         r = changed
+        busy = self.busy
         uvmask = self.link_uvmask
-        rates = self.link_rate
         link_u = self.link_u
-        link_v = self.link_v
-        memos = self._memo_by_link
-        class_useful = self._class_useful
-        for link_idx in range(self.nlinks):
+        for link_idx in r.useful[0]:
             if busy[link_idx] is not None or link_idx == freed:
                 continue
-            fp = r.fp
-            m = uvmask[link_idx]
-            if fp & m != m or rates[link_idx] <= 0:
+            if r.origins & uvmask[link_idx] or link_u[link_idx] in r.dests:
                 continue
-            origins = r.origins
-            if (origins >> link_u[link_idx]) & 1 or (origins >> link_v[link_idx]) & 1 \
-                    or link_u[link_idx] in r.dests:
-                continue
-            ok = memos[link_idx].get(fp)
-            if ok is None:
-                ok = class_useful(link_idx, fp)
-            if ok:
-                self._start(link_idx, r)
+            self._start(link_idx, r)
+
+    def _assert_idle_index(self):
+        """Each link's index holds its useful idle classes, in `idle` order."""
+        for link_idx, classes in enumerate(self._idle_by_link):
+            useful = [fp for fp in self.idle if self._useful(fp)[1] >> link_idx & 1]
+            if list(classes) != useful or any(
+                classes[fp] is not self.idle[fp] for fp in useful
+            ):
+                raise AssertionError(
+                    f"link {self.links[link_idx]}: idle-class index drifted from idle"
+                )
 
     def _assert_activity_condition(self):
+        self._assert_idle_index()
         for link_idx in range(self.nlinks):
             if self.busy[link_idx] is not None or self.link_rate[link_idx] <= 0:
                 continue
-            u, v = self.links[link_idx]
-            for fp, rounds in self.idle.items():
-                if rounds and self._class_useful(link_idx, fp):
-                    raise AssertionError(
-                        f"idle link {self.links[link_idx]} has useful idle rounds"
-                    )
+            if self._idle_by_link[link_idx]:
+                raise AssertionError(
+                    f"idle link {self.links[link_idx]} has useful idle rounds"
+                )
             for r in self.active.values():
-                if self._round_eligible(r, link_idx, u, v):
+                if r.useful is not self._useful(r.fp):
+                    raise AssertionError(f"round {r.rid}: useful links out of date")
+                if self._round_eligible(r, link_idx):
                     raise AssertionError(
                         f"idle link {self.links[link_idx]} has a useful active round"
                     )

@@ -78,6 +78,7 @@ def test_criterion_2_k5_fixture(k5):
            "4 depth-2 trees at weight 1 feasible", t0, budget=1)
 
 
+@pytest.mark.slow
 def test_criterion_3_wireline_bracket(k5):
     t0 = time.monotonic()
     cfg = ExperimentConfig(
@@ -112,6 +113,7 @@ def grid_search_sss(g, schedule_set, step=0.02):
     return best
 
 
+@pytest.mark.slow
 def test_criterion_4_wireless_bracket(channel3):
     t0 = time.monotonic()
     g, ss = channel3
@@ -132,6 +134,7 @@ def test_criterion_4_wireless_bracket(channel3):
            "at 0.45, unstable at 0.55, 3 seeds", t0, budget=300)
 
 
+@pytest.mark.slow
 def test_criterion_5_static_policy(channel3):
     t0 = time.monotonic()
     g, ss = channel3
@@ -168,6 +171,7 @@ def test_criterion_5_static_policy(channel3):
            budget=300)
 
 
+@pytest.mark.slow
 def test_criterion_6_single_tree_gap(k5):
     t0 = time.monotonic()
     ss = flows.wireline_schedule_set(k5)

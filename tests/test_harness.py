@@ -155,6 +155,24 @@ def test_sweep_wireline_bracket(tmp_path, triangle):
     assert (tmp_path / "out" / "summary.json").exists()
 
 
+@pytest.mark.parametrize("function", [
+    {"name": "max", "alphabet_size": 16},
+    {"name": "kth", "k": 2, "alphabet_size": 16},
+])
+def test_sweep_lambda_star_in_packets(triangle, function):
+    # Simulated rates are packets per time unit and one packet carries a
+    # whole round, so the analytic refresh rate is the bottleneck itself,
+    # whatever the function's output range (bits would give 1/4 here).
+    cfg = ExperimentConfig(
+        model="wireline", graph=triangle, function=function, lambdas=[0.5, 1.5],
+        seeds=[1], horizon=4000.0, sample_every=5.0,
+    )
+    result = harness.sweep(cfg)
+    assert result.analytic["lambda_star"] == result.analytic["delta_star"] == 1.0
+    assert result.verdicts[(0.5, 1)].verdict == "stable"
+    assert result.verdicts[(1.5, 1)].verdict == "unstable"
+
+
 def test_sweep_reproducible_output(tmp_path, triangle):
     def one(d):
         cfg = ExperimentConfig(

@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from aggnet import fmux, graph, wireline
+from aggnet import flows, fmux, graph, harness, wireline
 from aggnet.errors import BadParams
 from aggnet.wireline import WirelineSimulator
 
@@ -40,6 +42,39 @@ def test_full_footprint_all_sender_links_useful(triangle):
     rid = sim.seed_round()
     for link in triangle.links:
         assert sim.is_useful(rid, link)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), dead=st.integers(0, 3))
+def test_useful_links_match_per_link_rule(seed, dead):
+    # The per-footprint link sets, checked against the usefulness rule
+    # stated link by link, on every valid footprint of a random digraph
+    # (cycles allowed) whose first `dead` links have rate 0.
+    base = harness.random_digraph(seed, n_max=6)
+    caps = dict(base.capacity)
+    for link in sorted(caps)[:dead]:
+        caps[link] = 0.0
+    g = graph.build_graph(base.n, base.aggregator, list(base.links), caps)
+    a = g.aggregator
+    sim = make_sim(g)
+
+    def holds(fp, node):
+        return bool(fp >> node & 1)
+
+    for fp in wireline.valid_footprint_masks(g):
+        want = [
+            i for i, (u, v) in enumerate(g.links)
+            if u != a and caps[(u, v)] > 0 and holds(fp, u) and holds(fp, v)
+            and not any(
+                w != a and holds(fp, w)
+                and sum(holds(fp, x) for x in g.out_neighbors[w]) < 2
+                for w in g.in_neighbors[u]
+            )
+            and wireline.footprint_is_valid(g, fp & ~(1 << u))
+        ]
+        links, mask = sim._useful(fp)
+        assert list(links) == want
+        assert mask == sum(1 << i for i in want)
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +213,89 @@ def test_run_on_cyclic_graph(k5):
     m = wireline.run(k5, 1.0, fmux.make_max(16), seed=5, horizon=300.0, debug=True)
     assert m.completed > 100
     assert m.reestablished == 0
+
+
+# Exact outputs of seeded runs. The per-footprint usefulness memo and the
+# per-link index of idle classes only speed up the draw: they must change
+# neither which packets are drawn nor the order of RNG calls.
+GOLDEN = {
+    "k5-3.2": (47874, 9487, "236373.97066462584", 157, [
+        72, 80, 84, 85, 83, 83, 83, 87, 83, 83, 79, 81, 84, 85, 82, 86, 93, 95, 99,
+        100, 97, 102, 102, 102, 101, 97, 98, 99, 102, 103, 102, 101, 101, 96, 96, 97,
+        101, 98, 99, 98, 100, 104, 105, 105, 108, 107, 113, 115, 116, 116]),
+    "k5-4.4": (61374, 9279, "3505734.9632249656", 3914, [
+        3820, 3822, 3825, 3828, 3830, 3832, 3835, 3836, 3840, 3843, 3841, 3841, 3842,
+        3846, 3847, 3845, 3843, 3844, 3845, 3845, 3839, 3843, 3854, 3855, 3856, 3860,
+        3862, 3861, 3860, 3862, 3866, 3871, 3871, 3873, 3873, 3876, 3879, 3881, 3880,
+        3884, 3886, 3894, 3892, 3895, 3900, 3904, 3907, 3907, 3911, 3911]),
+    "dag12": (86366, 6391, "190018.64560598382", 912, [
+        898, 903, 904, 909, 911, 909, 911, 909, 909, 907, 908, 911, 908, 905, 904, 901,
+        897, 898, 896, 895, 896, 903, 903, 902, 901, 901, 902, 899, 901, 902, 903, 905,
+        904, 903, 906, 905, 901, 902, 901, 901, 904, 900, 903, 902, 902, 901, 900, 899,
+        900, 900]),
+    "zero-cap": (1554, 518, "1768.3272020191785", 10, [
+        0, 0, 0, 1, 1, 1, 2, 2, 3, 4, 4, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 4, 4, 3, 3, 4,
+        4, 4, 6, 5, 5, 5, 5, 5, 5, 4, 4, 4, 3, 3, 1, 1, 1, 0, 1, 1, 0, 0, 0, 0]),
+    "k5-kth": (53977, 10514, "742252.484894857", 376, [
+        362, 363, 360, 356, 355, 358, 353, 353, 348, 353, 350, 347, 348, 348, 351, 348,
+        349, 348, 349, 354, 350, 354, 357, 363, 368, 366, 370, 369, 373, 369, 369, 370,
+        371, 369, 365, 366, 363, 367, 367, 368, 364, 362, 355, 354, 354, 350, 351, 350,
+        354, 365]),
+}
+
+
+def _golden_run(name):
+    k5 = graph.generate("complete", n=5, capacity=1.0)
+    if name == "k5-3.2":
+        return wireline.run(k5, 3.2, fmux.make_parity(), seed=1, horizon=3000.0)
+    if name == "k5-4.4":
+        return wireline.run(k5, 4.4, fmux.make_parity(), seed=1, horizon=3000.0)
+    if name == "dag12":
+        dag = graph.generate("random_dag", n=12, seed=1)
+        cut, _ = flows.min_mincut(dag, dag.capacity)
+        assert cut == 3.0
+        return wireline.run(dag, 0.8 * cut, fmux.make_parity(), seed=1, horizon=3000.0)
+    if name == "zero-cap":
+        g = graph.build_graph(3, 0, [(1, 0), (2, 0), (2, 1)],
+                              {(1, 0): 1.0, (2, 0): 1.0, (2, 1): 0.0})
+        return wireline.run(g, 0.5, fmux.make_parity(), seed=6, horizon=1000.0)
+    return wireline.run(k5, 3.6, fmux.make_kth(2, 16), seed=2, horizon=3000.0)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_seeded_runs_match_recorded_output(name):
+    m = _golden_run(name)
+    got = (m.events, m.completed, repr(m.latency_sum), m.max_in_flight, m.in_flight[-50:])
+    assert got == GOLDEN[name]
+
+
+class _IndexChecked(WirelineSimulator):
+    """Checks the per-link index of idle classes between every two events.
+
+    An activity pass starts after an event has changed one round and before
+    any idle class moves, so at that point the index must match `idle`.
+    The run itself is not in debug mode: concurrent departures of one round
+    can still leave its footprint invalid on a DAG, which debug mode
+    rejects, and the index must stay exact through that too.
+    """
+
+    def _activity_pass(self, changed, freed):
+        self._assert_idle_index()
+        super()._activity_pass(changed, freed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 10), seed=st.integers(0, 10_000), lo=st.sampled_from([0, 1]),
+       load=st.floats(0.5, 0.9))
+def test_idle_index_matches_idle_classes_on_random_dag(n, seed, lo, load):
+    # A zero low end of the capacity range gives some links rate 0.
+    g = graph.generate("random_dag", n=n, seed=seed, cap_range=(lo, 4))
+    cut, _ = flows.min_mincut(g, g.capacity)
+    assume(cut > 0)
+    sim = _IndexChecked(g, load * cut, fmux.make_parity(), seed)
+    m = sim.run(100.0)
+    sim._assert_idle_index()
+    assert m.events > 0
 
 
 def test_footprint_class_sampling(triangle):
