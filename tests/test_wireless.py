@@ -312,3 +312,144 @@ def test_deterministic_arrivals_accumulate_fraction(triangle, shared_channel):
     sim.arrivals = ArrivalProcess("deterministic", 0.5)
     arrived = sum(sim._draw_arrivals() for _ in range(10))
     assert arrived == 5
+
+
+# Exact outputs of seeded runs: any change to the per-slot bookkeeping must
+# leave which rounds move, and the order of RNG calls, as they were.
+GOLDEN = {"k5-greedy-3.6": (10527, "795846.0", 706, 489, [(0, 3000)],
+                   [9, 17, 22, 16, 20, 23, 14, 31, 5, 28, 31, 21, 11, 33, 35, 10, 19,
+                    24, 19, 30, 168, 178, 155, 19, 152, 163, 142, 34, 134, 143, 11, 19,
+                    20, 25, 28, 181, 121, 150, 25, 160, 9, 11, 20, 32, 150, 111, 23,
+                    153, 26, 115, 16, 26, 28, 27, 31, 158, 177, 109, 24, 159, 159, 161,
+                    23, 136, 167, 32, 130, 154, 136, 111, 29, 148, 136, 172, 122, 11,
+                    23, 31, 18, 26, 136, 155, 135, 40, 140, 35, 167, 154, 137, 144, 29,
+                    154, 149, 179, 163, 23, 124, 168, 112, 165, 4, 31, 18, 7, 113, 32,
+                    140, 148, 33, 145, 35, 161, 126, 148, 140, 19, 122, 168, 123, 168,
+                    23, 141, 184, 147, 177],
+                   [544, 556, 548, 548, 540, 528, 525, 530, 529, 536, 528, 526, 532,
+                    538, 540, 538, 539, 529, 535, 533, 531, 534, 540, 538, 543, 540,
+                    541, 542, 548, 541, 546, 551, 563, 559, 548, 541, 526, 530, 519,
+                    507, 504, 493, 490, 484, 470, 463, 467, 474, 476, 489],
+                   [823, 859, 850, 859, 849, 843, 836, 872, 869, 875, 861, 846, 866,
+                    882, 900, 881, 880, 863, 867, 854, 853, 838, 855, 833, 849, 834,
+                    836, 835, 848, 831, 851, 854, 905, 886, 862, 849, 838, 859, 836,
+                    830, 836, 823, 835, 820, 812, 816, 843, 836, 819, 846]),
+ "k5-greedy-4.4": (10877, "2673284.0", 4762, 4718, [(0, 3000)],
+                   [11, 25, 21, 24, 19, 19, 23, 27, 24, 29, 24, 35, 17, 32, 20, 16, 32,
+                    21, 22, 29, 215, 217, 195, 29, 203, 156, 172, 32, 209, 138, 17, 23,
+                    36, 31, 26, 184, 153, 192, 41, 168, 19, 39, 23, 24, 176, 159, 31,
+                    146, 28, 190, 25, 22, 19, 38, 28, 172, 190, 150, 28, 218, 210, 200,
+                    23, 150, 196, 23, 175, 210, 202, 150, 21, 145, 156, 204, 162, 19,
+                    26, 29, 18, 31, 148, 195, 185, 31, 181, 34, 189, 160, 177, 179, 33,
+                    186, 182, 217, 176, 20, 151, 212, 160, 182, 15, 21, 33, 28, 168, 24,
+                    177, 166, 25, 185, 25, 131, 192, 166, 169, 33, 162, 187, 156, 167,
+                    29, 202, 222, 168, 249],
+                   [4750, 4750, 4750, 4762, 4758, 4746, 4754, 4746, 4758, 4746, 4742,
+                    4742, 4730, 4718, 4726, 4726, 4710, 4714, 4718, 4730, 4730, 4734,
+                    4738, 4734, 4726, 4734, 4734, 4734, 4726, 4726, 4734, 4738, 4742,
+                    4734, 4734, 4730, 4742, 4738, 4738, 4730, 4730, 4718, 4714, 4710,
+                    4710, 4718, 4718, 4722, 4726, 4718],
+                   [24148, 24145, 24160, 24225, 24165, 24125, 24111, 24034, 24054,
+                    24001, 23989, 24009, 23989, 23990, 24072, 24115, 24031, 24060,
+                    24150, 24248, 24232, 24190, 24193, 24111, 24067, 24202, 24221,
+                    24207, 24168, 24250, 24279, 24292, 24247, 24236, 24288, 24311,
+                    24394, 24365, 24371, 24329, 24385, 24336, 24352, 24338, 24329,
+                    24307, 24356, 24389, 24432, 24368]),
+ "k5-star-1.1": (2997, "397366.0", 1232, 1228, [(0, 3000)], [3304],
+                 [1216, 1220, 1216, 1216, 1220, 1220, 1220, 1224, 1220, 1216, 1212,
+                  1212, 1212, 1216, 1216, 1212, 1212, 1216, 1216, 1216, 1212, 1212,
+                  1212, 1216, 1212, 1212, 1212, 1208, 1208, 1208, 1208, 1208, 1208,
+                  1208, 1212, 1216, 1220, 1224, 1232, 1228, 1224, 1224, 1224, 1224,
+                  1224, 1224, 1224, 1224, 1228, 1228],
+                 [369664, 372100, 369664, 369664, 372100, 372100, 372100, 374544,
+                  372100, 369664, 367236, 367236, 367236, 369664, 369664, 367236,
+                  367236, 369664, 369664, 369664, 367236, 367236, 367236, 369664,
+                  367236, 367236, 367236, 364816, 364816, 364816, 364816, 364816,
+                  364816, 364816, 367236, 369664, 372100, 374544, 379456, 376996,
+                  374544, 374544, 374544, 374544, 374544, 374544, 374544, 374544,
+                  376996, 376996]),
+ "k5-static-3.6": (10698, "148292.0", 289, 52, [(0, 3000)],
+                   [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 518,
+                    0, 0, 0, 0, 534, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                    1661, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 512, 0, 0, 1677, 0, 0, 0,
+                    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 542, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                    1065, 0, 0, 0, 0, 0, 0, 0, 1600, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                    0, 0, 509, 0, 0, 0, 511, 0, 0, 0, 1057, 0, 0, 0, 532, 0, 0, 0],
+                   [27, 25, 35, 33, 44, 44, 47, 56, 61, 51, 42, 35, 40, 34, 43, 39, 41,
+                    40, 54, 52, 57, 66, 67, 67, 88, 85, 81, 77, 89, 81, 69, 76, 64, 61,
+                    60, 57, 74, 63, 57, 51, 41, 35, 25, 24, 28, 48, 50, 44, 56, 52],
+                   [27, 22, 31, 26, 34, 38, 45, 45, 47, 39, 34, 32, 41, 43, 88, 65, 46,
+                    34, 48, 38, 42, 46, 51, 49, 73, 83, 77, 73, 113, 103, 91, 98, 73,
+                    80, 69, 67, 80, 63, 53, 46, 39, 29, 18, 17, 22, 61, 105, 87, 138,
+                    112]),
+ "channel3-greedy-0.55": (2947, "559155.0", 435, 430, [(0, 2958), (1, 1474), (2, 1568)],
+                          [1556, 1649],
+                          [415, 412, 409, 406, 409, 412, 413, 410, 411, 414, 415, 412,
+                           411, 412, 411, 410, 413, 410, 411, 414, 411, 412, 411, 412,
+                           415, 412, 409, 414, 417, 420, 419, 426, 425, 424, 425, 426,
+                           425, 422, 419, 422, 425, 424, 427, 426, 431, 434, 433, 432,
+                           431, 430],
+                          [27556, 27226, 26733, 26407, 26898, 27226, 27391, 26896,
+                           27061, 27228, 27556, 27226, 27061, 27226, 27061, 26896,
+                           27393, 26896, 27061, 27558, 27061, 27226, 27061, 27226,
+                           27558, 27226, 26898, 27391, 27723, 28224, 28057, 29073,
+                           28900, 28902, 28900, 29244, 28900, 28562, 28226, 28562,
+                           28900, 28902, 29242, 29071, 29759, 30103, 30103, 29930,
+                           29757, 29584]),
+ "k5-debug-4.0": (2625, "206387.0", 959, 895, [(0, 800)],
+                  [5, 5, 5, 4, 9, 8, 13, 16, 14, 22, 15, 9, 7, 10, 8, 8, 13, 18, 10, 12,
+                   50, 25, 37, 16, 50, 45, 34, 12, 31, 29, 11, 10, 10, 8, 6, 36, 37, 43,
+                   13, 39, 6, 9, 14, 14, 57, 34, 8, 28, 14, 39, 7, 6, 15, 8, 8, 37, 53,
+                   31, 9, 35, 48, 37, 7, 36, 27, 7, 44, 45, 37, 33, 6, 46, 25, 40, 49,
+                   6, 13, 13, 14, 9, 25, 56, 43, 17, 32, 13, 41, 36, 39, 30, 18, 40, 44,
+                   45, 40, 11, 41, 50, 30, 48, 6, 12, 12, 13, 24, 8, 56, 48, 13, 38, 6,
+                   39, 52, 46, 39, 14, 29, 32, 31, 47, 16, 31, 47, 30, 43],
+                  [947, 947, 947, 939, 931, 935, 944, 944, 940, 940, 932, 936, 945, 937,
+                   941, 957, 945, 934, 939, 931, 924, 929, 931, 931, 931, 923, 923, 916,
+                   916, 913, 898, 891, 880, 876, 869, 873, 881, 881, 873, 886, 891, 907,
+                   895, 895, 888, 885, 874, 882, 899, 895],
+                  [2042, 2043, 2050, 2059, 2043, 2062, 2040, 2046, 2025, 2042, 2035,
+                   2050, 2083, 2047, 2108, 2272, 2238, 2202, 2236, 2217, 2205, 2227,
+                   2237, 2262, 2310, 2292, 2296, 2286, 2308, 2282, 2269, 2255, 2251,
+                   2274, 2281, 2340, 2331, 2317, 2288, 2367, 2368, 2512, 2472, 2458,
+                   2434, 2427, 2383, 2437, 2494, 2470])}
+
+
+def _golden_run(name):
+    k5 = graph.generate("complete", n=5, capacity=1.0)
+    wired = flows.wireline_schedule_set(k5)
+    kth = fmux.make_kth(2, 16)
+    if name in ("k5-greedy-3.6", "k5-greedy-4.4"):
+        lam = 3.6 if name.endswith("3.6") else 4.4
+        return wireless.run(k5, wired, flows.enumerate_aggregation_trees(k5), kth,
+                            lam=lam, seed=1, horizon=3000)
+    if name == "k5-star-1.1":
+        star = flows.AggregationTree.from_parent_map({1: 0, 2: 0, 3: 0, 4: 0})
+        return wireless.run(k5, wired, [star], kth, lam=1.1, seed=2, horizon=3000,
+                            routing="single_tree")
+    if name == "k5-static-3.6":
+        rule, induced, _ = flows.optimal_sss(k5, wired)
+        trees = flows.enumerate_aggregation_trees(k5)
+        packing = flows.tree_packing_lp(k5, induced, trees)
+        return wireless.run(k5, wired, trees, kth, lam=3.6, seed=3, horizon=3000,
+                            routing="fixed_split", scheduling="static_sss",
+                            split_weights=[max(w, 0.0) for w in packing.weights],
+                            sss_rule=rule)
+    g3 = graph.build_graph(3, 0, [(1, 0), (2, 0), (2, 1)], 1.0)
+    shared = flows.ScheduleSet(tuple(flows.Schedule((l,), {l: 1.0}) for l in g3.links))
+    trees3 = flows.enumerate_aggregation_trees(g3)
+    if name == "channel3-greedy-0.55":
+        return wireless.run(g3, shared, trees3, fmux.make_parity(), lam=0.55, seed=4,
+                            horizon=6000)
+    # debug: every slot checks the queue bookkeeping and each round's links
+    return wireless.run(k5, wired, flows.enumerate_aggregation_trees(k5), kth,
+                        lam=4.0, seed=5, horizon=800, debug=True)
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_seeded_runs_match_recorded_output(name):
+    m = _golden_run(name)
+    got = (m.completed, repr(m.latency_sum), m.max_backlog, m.final_backlog,
+           sorted(m.schedule_counts.items()), m.assigned_totals,
+           m.backlog_series[-50:], m.lyapunov[-50:])
+    assert got == GOLDEN[name]
