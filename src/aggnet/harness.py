@@ -131,6 +131,12 @@ class ExperimentConfig:
             raise BadParams(f"unknown policy {self.policy!r}")
         if not self.seeds:
             raise BadParams("need at least one seed")
+        if self.sample_every is not None:
+            if self.sample_every <= 0:
+                raise BadParams(f"sample_every must be positive, got {self.sample_every}")
+            if self.model == "wireless" and self.sample_every < 1:
+                raise BadParams(f"wireless sample_every must be at least one slot, "
+                                f"got {self.sample_every}")
 
     @staticmethod
     def from_json(path, **overrides) -> "ExperimentConfig":

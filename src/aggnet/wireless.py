@@ -18,14 +18,32 @@ Routing policies: ``greedy`` (all arrivals of a slot to the tree with the
 smallest total useful backlog), ``fixed_split`` (independent random tree
 per round with given weights, the static-packing construction), and
 ``single_tree``.
+
+Queue lengths are kept link-major.  The useful queue of tree t at sensor
+i feeds exactly one link, (i, parent_t(i)), so ``link_counts`` holds one
+list per link, aligned with ``TreeIndex.trees_on_link``.  MaxWeight finds
+a link's weight and its maximizing tree with C-level ``max``, ``count``
+and ``index`` over that one list, never gathering (link, tree) pairs.  A
+tie among k trees draws ``rng.randrange(k)`` and walks to that tied
+position without building a tie list; ``Random.choice`` draws
+``seq[_randbelow(len(seq))]``, so the draw uses the same random bits a
+choice from the list would.
+
+Useful queues are FIFO deques: each receives rounds in ascending round
+id.  A leaf receives them at placement, as ids are handed out; every
+child sends from its queue head, so an inner node becomes ready for
+rounds in round-id order; and rounds that become ready in the same slot
+are handled in sorted order.  The head is therefore the smallest id, the
+round a heap ordered by id would pop.
 """
 from __future__ import annotations
 
 import logging
 import math
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from operator import itemgetter
 from random import Random
 
 from .errors import BadParams, MultiTreeConfig, OracleMismatch
@@ -85,7 +103,16 @@ def _draw_poisson(rng: Random, lam: float) -> int:
 # ---------------------------------------------------------------------------
 
 class TreeIndex:
-    """Per-tree parent/children tables plus a link -> trees reverse index."""
+    """Link -> trees reverse index plus the per-tree cell tables.
+
+    ``trees_on_link`` lists, per link, the trees using it in ascending
+    order; its key order fixes each link's position.  ``cell[t][i]`` is
+    the (link position, position in ``trees_on_link[link]``) of tree t's
+    useful queue at sensor i, whose link is (i, parent_t(i)), and None at
+    the aggregator.  ``leaves[t]`` lists the leaves of tree t, and
+    ``pending_template[t]`` maps every other node, aggregator included, to
+    its number of children in tree t.
+    """
 
     def __init__(self, g: NetworkGraph, trees):
         trees = list(trees)
@@ -95,23 +122,28 @@ class TreeIndex:
             t.validate(g)
         self.g = g
         self.trees = trees
-        self.parent = []
-        self.children_count = []
-        self.is_leaf = []
         self.tree_links = []
         self.trees_on_link = {}
         for ti, tree in enumerate(trees):
-            pm = tree.parent_map
-            self.parent.append(pm)
-            counts = [0] * g.n
-            for i, p in pm.items():
-                counts[p] += 1
-            self.children_count.append(counts)
-            self.is_leaf.append([counts[i] == 0 for i in range(g.n)])
             links = tree.tree_links
             self.tree_links.append(frozenset(links))
             for l in links:
                 self.trees_on_link.setdefault(l, []).append(ti)
+        link_pos = {l: p for p, l in enumerate(self.trees_on_link)}
+        self.cell = []
+        self.leaves = []
+        self.pending_template = []
+        for ti, tree in enumerate(trees):
+            children = [0] * g.n
+            cells = [None] * g.n
+            for i, p in tree.parent_map.items():
+                children[p] += 1
+                cells[i] = (link_pos[(i, p)], self.trees_on_link[(i, p)].index(ti))
+            self.cell.append(cells)
+            self.leaves.append([i for i in g.sensors if not children[i]])
+            self.pending_template.append(
+                {i: c for i, c in enumerate(children) if c or i == g.aggregator}
+            )
 
     def __len__(self):
         return len(self.trees)
@@ -152,37 +184,44 @@ def _integral_rates(ss: ScheduleSet):
 # Policy pieces (usable standalone)
 # ---------------------------------------------------------------------------
 
+def _nth_index(seq, value, n: int) -> int:
+    """Position of the n-th (from 0) occurrence of `value` in `seq`."""
+    pos = seq.index(value)
+    for _ in range(n):
+        pos = seq.index(value, pos + 1)
+    return pos
+
+
 def greedy_tree_load(tree_totals, rng: Random) -> int:
     """Index of the tree with the smallest total useful backlog (ties uniform)."""
     best = min(tree_totals)
-    ties = [ti for ti, w in enumerate(tree_totals) if w == best]
-    return ties[0] if len(ties) == 1 else rng.choice(ties)
+    ties = tree_totals.count(best)
+    if ties == 1:
+        return tree_totals.index(best)
+    return _nth_index(tree_totals, best, rng.randrange(ties))
 
 
 def maxweight_schedule(schedule_set: ScheduleSet, tree_index: TreeIndex,
-                       useful_counts, rng: Random):
+                       link_counts, rng: Random):
     """Pick the admissible schedule maximizing sum of P_ij * c_ij.
 
     P_ij is the largest per-tree useful backlog at i over trees containing
-    (i,j); returns (schedule index, {link: maximizing tree}).  Ties, both in
-    the per-link tree and in the schedule, are broken uniformly at random.
+    (i,j); `link_counts` holds those backlogs per link, aligned with
+    ``tree_index.trees_on_link``.  Returns (schedule index, {link:
+    maximizing tree}).  Ties, both in the per-link tree and in the
+    schedule, are broken uniformly at random.
     """
     weight = {}
     best_tree = {}
-    for link, taus in tree_index.trees_on_link.items():
-        i = link[0]
-        best = 0
-        ties = None
-        for ti in taus:
-            q = useful_counts[ti][i]
-            if q > best:
-                best = q
-                ties = [ti]
-            elif q == best and q > 0:
-                ties.append(ti)
+    for (link, taus), col in zip(tree_index.trees_on_link.items(), link_counts):
+        best = max(col)
         if best > 0:
             weight[link] = best
-            best_tree[link] = ties[0] if len(ties) == 1 else rng.choice(ties)
+            ties = col.count(best)
+            if ties == 1:
+                best_tree[link] = taus[col.index(best)]
+            else:
+                best_tree[link] = taus[_nth_index(col, best, rng.randrange(ties))]
     best_total = None
     best_scheds = []
     for k, sched in enumerate(schedule_set.schedules):
@@ -200,42 +239,9 @@ def maxweight_schedule(schedule_set: ScheduleSet, tree_index: TreeIndex,
     return chosen, best_tree
 
 
-def single_tree_backpressure(schedule_set: ScheduleSet, tree_index: TreeIndex,
-                             useful_counts, rng: Random):
-    """MaxWeight specialized to a single aggregation tree (the baseline)."""
-    if len(tree_index) != 1:
-        raise MultiTreeConfig(
-            f"single-tree backpressure requires one tree, got {len(tree_index)}"
-        )
-    return maxweight_schedule(schedule_set, tree_index, useful_counts, rng)
-
-
-def static_sss_policy(schedule_set: ScheduleSet, sss_rule: SSSRule,
-                      tree_weights, rng: Random):
-    """Per-slot draws for the static randomized policy.
-
-    Returns (draw_schedule, assign_round): the first samples a schedule
-    index from the service-split weights each slot, the second assigns an
-    arriving round a tree index with probability proportional to the
-    packing weights.
-    """
-    sched_cum = _cumulative(
-        [sss_rule.weights.get(k, 0.0) for k in range(len(schedule_set))]
-    )
-    tree_cum = _cumulative(list(tree_weights))
-
-    def draw_schedule():
-        return _draw_categorical(rng, sched_cum)
-
-    def assign_round():
-        return _draw_categorical(rng, tree_cum)
-
-    return draw_schedule, assign_round
-
-
-def lyapunov_value(useful_counts) -> float:
+def lyapunov_value(link_counts) -> float:
     """Sum of squared useful-queue lengths: the drift diagnostic."""
-    return float(sum(q * q for row in useful_counts for q in row))
+    return float(sum(q * q for col in link_counts for q in col))
 
 
 def _cumulative(weights):
@@ -257,6 +263,9 @@ def _draw_categorical(rng: Random, cum) -> int:
     return bisect_right(cum, rng.random())
 
 
+_head = itemgetter(0)
+
+
 # ---------------------------------------------------------------------------
 # Simulator
 # ---------------------------------------------------------------------------
@@ -270,7 +279,7 @@ class _WRound:
         self.t_arrive = t_arrive
         self.payloads = payloads
         self.pending = pending
-        self.sensed = sensed
+        self.sensed = sensed      # values in sensor order
         self.crossed = None
 
 
@@ -360,11 +369,29 @@ class WirelessSimulator:
             self._sss_cum = _cumulative(weights)
         else:
             self._sss_cum = None
+        # Per schedule, the links it serves with their whole-packet rates.
+        self._sched_caps = [
+            [(l, int(s.rates[l])) for l in s.links if int(s.rates[l]) > 0]
+            for s in schedule_set.schedules
+        ]
 
-        n = g.n
-        ntrees = len(self.tix)
-        self.useful = [[[] for _ in range(n)] for _ in range(ntrees)]  # heaps of rids
-        self.useful_counts = [[0] * n for _ in range(ntrees)]
+        tix = self.tix
+        ntrees = len(tix)
+        self._sensors = g.sensors
+        self.useful = [[deque() for _ in range(g.n)] for _ in range(ntrees)]
+        self.link_counts = [[0] * len(taus) for taus in tix.trees_on_link.values()]
+        # Per (tree, node): its useful queue, its link column and its
+        # position in that column (None at the aggregator).
+        self._cells = [
+            [None if c is None else (queues[i], self.link_counts[c[0]], c[1])
+             for i, c in enumerate(cells)]
+            for queues, cells in zip(self.useful, tix.cell)
+        ]
+        self._leaf_cells = [[self._cells[ti][i] for i in leaves]
+                            for ti, leaves in enumerate(tix.leaves)]
+        # Per link, the useful queues at its tail, aligned with its column.
+        self._link_queues = {link: [self.useful[t][link[0]] for t in taus]
+                             for link, taus in tix.trees_on_link.items()}
         self.tree_totals = [0] * ntrees
         self.rounds = {}
         self.assigned = [0] * ntrees
@@ -393,26 +420,22 @@ class WirelessSimulator:
         return count
 
     def _place_round(self, tree_idx: int) -> int:
-        g, f = self.g, self.func
+        f = self.func
         rid = self._next_rid
         self._next_rid += 1
-        sensed = {i: self.rng.randrange(f.alphabet_size) for i in g.sensors}
-        payloads = {i: f.lift(x) for i, x in sensed.items()}
-        payloads[g.aggregator] = f.empty_payload
-        pending = {}
-        counts = self.tix.children_count[tree_idx]
-        leaf = self.tix.is_leaf[tree_idx]
-        for i in range(g.n):
-            if i == g.aggregator:
-                pending[i] = counts[i]
-            elif leaf[i]:
-                heappush(self.useful[tree_idx][i], rid)
-                self.useful_counts[tree_idx][i] += 1
-                self.tree_totals[tree_idx] += 1
-                self.u_total += 1
-            else:
-                pending[i] = counts[i]
-                self.nu_total += 1
+        randrange, alphabet = self.rng.randrange, f.alphabet_size
+        sensors = self._sensors
+        sensed = [randrange(alphabet) for _ in sensors]
+        payloads = dict(zip(sensors, map(f.lift, sensed)))
+        payloads[self.g.aggregator] = f.empty_payload
+        leaves = self._leaf_cells[tree_idx]
+        for q, col, pos in leaves:
+            q.append(rid)
+            col[pos] += 1
+        self.tree_totals[tree_idx] += len(leaves)
+        self.u_total += len(leaves)
+        pending = dict(self.tix.pending_template[tree_idx])
+        self.nu_total += len(pending) - 1  # the aggregator is not a queue
         r = _WRound(rid, tree_idx, self.slot, payloads, pending, sensed)
         if self.debug:
             r.crossed = set()
@@ -422,14 +445,19 @@ class WirelessSimulator:
 
     # -- per-slot dynamics ----------------------------------------------------
 
-    def _transmit(self, tree_idx, link, count, deliveries):
-        """Move up to `count` rounds across `link` from the tree's useful queue."""
+    def _transmit(self, tree_idx, link, count, ready):
+        """Move up to `count` rounds across `link` from the tree's useful queue.
+
+        Appends (rid, j) to `ready` for each round whose last missing child
+        packet reaches the receiver j.
+        """
         i, j = link
-        heap = self.useful[tree_idx][i]
-        moved = min(count, len(heap))
+        q, col, pos = self._cells[tree_idx][i]
+        moved = min(count, len(q))
+        rounds, combine = self.rounds, self.func.combine
         for _ in range(moved):
-            rid = heappop(heap)
-            r = self.rounds[rid]
+            rid = q.popleft()
+            r = rounds[rid]
             if self.debug:
                 if r.pending.get(i, 0) != 0:
                     raise AssertionError(
@@ -438,20 +466,22 @@ class WirelessSimulator:
                 if link in r.crossed:
                     raise AssertionError(f"round {rid} crossed {link} twice")
                 r.crossed.add(link)
-            payload = r.payloads.pop(i)
-            r.payloads[j] = self.func.combine(r.payloads[j], payload)
-            r.pending[j] -= 1
-            deliveries.add((rid, j))
+            payloads = r.payloads
+            payloads[j] = combine(payloads[j], payloads.pop(i))
+            pending = r.pending
+            left = pending[j] - 1
+            pending[j] = left
+            if not left:
+                ready.append((rid, j))
         if moved:
-            self.useful_counts[tree_idx][i] -= moved
+            col[pos] -= moved
             self.tree_totals[tree_idx] -= moved
             self.u_total -= moved
-        return moved
 
     def _finish_round(self, r):
         f = self.func
         got = f.finalize(r.payloads[self.g.aggregator])
-        expected = f.direct([r.sensed[i] for i in self.g.sensors])
+        expected = f.direct(r.sensed)
         if got != expected:
             raise OracleMismatch(r.rid, got, expected)
         if self.debug and r.crossed != set(self.tix.tree_links[r.tree]):
@@ -482,57 +512,75 @@ class WirelessSimulator:
         # 3: schedule selection.
         if self.scheduling == "maxweight":
             sched_idx, best_tree = maxweight_schedule(
-                self.schedule_set, self.tix, self.useful_counts, rng
+                self.schedule_set, self.tix, self.link_counts, rng
             )
         else:
             sched_idx = _draw_categorical(rng, self._sss_cum)
             best_tree = None
-        sched = self.schedule_set.schedules[sched_idx]
         m = self.metrics
         m.schedule_counts[sched_idx] = m.schedule_counts.get(sched_idx, 0) + 1
 
         # 4: transmissions.
-        deliveries = set()
-        for link in sched.links:
-            cap = int(sched.rates[link])
-            if cap <= 0:
-                continue
+        ready = []
+        for link, cap in self._sched_caps[sched_idx]:
             if best_tree is not None:
                 tree = best_tree.get(link)
                 if tree is not None:
-                    self._transmit(tree, link, cap, deliveries)
+                    self._transmit(tree, link, cap, ready)
             else:
-                self._serve_fifo(link, cap, deliveries)
+                self._serve_fifo(link, cap, ready)
 
-        # 5: internal transfers and completions.
-        for rid, j in sorted(deliveries):
-            r = self.rounds[rid]
-            if r.pending.get(j, -1) == 0:
+        # 5: internal transfers and completions, in round-id order.
+        if ready:
+            ready.sort()
+            aggregator = self.g.aggregator
+            for rid, j in ready:
+                r = self.rounds[rid]
                 del r.pending[j]
-                if j == self.g.aggregator:
+                if j == aggregator:
                     self._finish_round(r)
                 else:
-                    heappush(self.useful[r.tree][j], rid)
-                    self.useful_counts[r.tree][j] += 1
+                    q, col, pos = self._cells[r.tree][j]
+                    q.append(rid)
+                    col[pos] += 1
                     self.tree_totals[r.tree] += 1
                     self.u_total += 1
                     self.nu_total -= 1
 
         self.slot += 1
+        if self.debug:
+            self._assert_queue_counts()
 
-    def _serve_fifo(self, link, cap, deliveries):
+    def _serve_fifo(self, link, cap, ready):
         """Static scheduling: serve the link's trees in global round-id order."""
-        i, _j = link
-        taus = self.tix.trees_on_link.get(link)
-        if not taus:
+        queues = self._link_queues.get(link)
+        if not queues:
             return
-        live = [t for t in taus if self.useful[t][i]]
-        sent = 0
-        while sent < cap and live:
-            best = min(live, key=lambda t: self.useful[t][i][0])
-            self._transmit(best, link, 1, deliveries)
-            sent += 1
-            live = [t for t in live if self.useful[t][i]]
+        rounds = self.rounds
+        for _ in range(cap):
+            q = min(filter(None, queues), key=_head, default=None)
+            if q is None:
+                return
+            self._transmit(rounds[q[0]].tree, link, 1, ready)
+
+    def _assert_queue_counts(self):
+        """Debug: queues ascending; link columns and totals equal a recount."""
+        for ti, row in enumerate(self.useful):
+            for i, q in enumerate(row):
+                rids = list(q)
+                if rids != sorted(set(rids)):
+                    raise AssertionError(f"useful queue ({ti}, {i}) not ascending: {rids}")
+            if sum(map(len, row)) != self.tree_totals[ti]:
+                raise AssertionError(f"tree {ti} total {self.tree_totals[ti]} != recount")
+        for (link, taus), col in zip(self.tix.trees_on_link.items(), self.link_counts):
+            lengths = [len(self.useful[t][link[0]]) for t in taus]
+            if col != lengths:
+                raise AssertionError(f"link {link} counts {col} != queue lengths {lengths}")
+        if self.u_total != sum(self.tree_totals):
+            raise AssertionError(f"useful total {self.u_total} != recount")
+        nonuseful = sum(len(r.pending) - 1 for r in self.rounds.values())
+        if self.nu_total != nonuseful:
+            raise AssertionError(f"not-useful total {self.nu_total} != recount {nonuseful}")
 
     # -- driver ---------------------------------------------------------------
 
@@ -541,6 +589,8 @@ class WirelessSimulator:
             raise BadParams("horizon must be positive")
         if sample_every is None:
             sample_every = max(1, horizon // 2000)
+        elif sample_every < 1:
+            raise BadParams(f"sample_every must be at least one slot, got {sample_every}")
         m = self.metrics
         m.horizon = horizon
         for _ in range(horizon):
@@ -558,7 +608,7 @@ class WirelessSimulator:
         m.slots.append(self.slot)
         m.total_useful.append(self.u_total)
         m.total_nonuseful.append(self.nu_total)
-        m.lyapunov.append(lyapunov_value(self.useful_counts))
+        m.lyapunov.append(lyapunov_value(self.link_counts))
         m.completed_series.append(m.completed)
         m.mean_latency_series.append(m.mean_latency)
         m.per_tree_assigned.append(tuple(self.assigned))

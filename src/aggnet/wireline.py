@@ -647,6 +647,8 @@ class WirelineSimulator:
             raise BadParams("horizon must be positive")
         if sample_every is None:
             sample_every = max(horizon / 2000.0, 1e-9)
+        elif sample_every <= 0:
+            raise BadParams(f"sample_every must be positive, got {sample_every}")
         track_classes = sample_footprint_classes and self.g.n <= 12
         m = self.metrics = WirelineMetrics(lam=self.lam, seed=self.seed, horizon=horizon)
 

@@ -97,6 +97,14 @@ def test_config_validation():
                          seeds=[1], horizon=10)
 
 
+@pytest.mark.parametrize("model, every", [("wireline", 0.0), ("wireline", -2.0),
+                                          ("wireless", 0.5), ("wireless", 0)])
+def test_config_rejects_bad_sample_every(model, every):
+    with pytest.raises(BadParams):
+        ExperimentConfig(model=model, lambdas=[1], seeds=[1], horizon=10,
+                         sample_every=every)
+
+
 def test_config_from_json(tmp_path, triangle):
     from aggnet.graph import save_graph
     gpath = tmp_path / "g.json"

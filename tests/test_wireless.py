@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from aggnet import flows, fmux, graph, wireless
+from aggnet import flows, fmux, graph, harness, wireless
 from aggnet.errors import BadParams, MultiTreeConfig
 from aggnet.wireless import ArrivalProcess, TreeIndex, WirelessSimulator
 
@@ -58,9 +60,14 @@ def test_greedy_balances_example5_trees(k5):
 # scheduling
 # ---------------------------------------------------------------------------
 
+def link_counts(tix, per_tree):
+    """Per-link columns from per-(tree, node) useful counts."""
+    return [[per_tree[t][link[0]] for t in taus] for link, taus in tix.trees_on_link.items()]
+
+
 def test_maxweight_zero_queues(triangle, shared_channel):
     tix = TreeIndex(triangle, flows.enumerate_aggregation_trees(triangle))
-    counts = [[0] * 3 for _ in range(len(tix))]
+    counts = link_counts(tix, [[0] * 3 for _ in range(len(tix))])
     rng = random.Random(3)
     idx, best_tree = wireless.maxweight_schedule(shared_channel, tix, counts, rng)
     assert best_tree == {}
@@ -70,11 +77,12 @@ def test_maxweight_zero_queues(triangle, shared_channel):
 def test_maxweight_picks_heaviest_link(triangle, shared_channel):
     trees = flows.enumerate_aggregation_trees(triangle)  # [star, line]
     tix = TreeIndex(triangle, trees)
-    counts = [[0] * 3 for _ in range(2)]
-    counts[1][2] = 7   # line tree: 7 useful at node 2 -> weight on (2, 1)
-    counts[0][1] = 3   # star tree: 3 useful at node 1 -> weight on (1, 0)
+    per_tree = [[0] * 3 for _ in range(2)]
+    per_tree[1][2] = 7   # line tree: 7 useful at node 2 -> weight on (2, 1)
+    per_tree[0][1] = 3   # star tree: 3 useful at node 1 -> weight on (1, 0)
     rng = random.Random(4)
-    idx, best_tree = wireless.maxweight_schedule(shared_channel, tix, counts, rng)
+    idx, best_tree = wireless.maxweight_schedule(
+        shared_channel, tix, link_counts(tix, per_tree), rng)
     assert shared_channel.schedules[idx].links == ((2, 1),)
     assert best_tree[(2, 1)] == 1
 
@@ -85,14 +93,15 @@ def test_maxweight_dominates_every_schedule(triangle, shared_channel):
     tix = TreeIndex(triangle, trees)
     rng = random.Random(5)
     for _ in range(200):
-        counts = [[rng.randrange(6) for _ in range(3)] for _ in range(2)]
-        idx, _ = wireless.maxweight_schedule(shared_channel, tix, counts, rng)
+        per_tree = [[rng.randrange(6) for _ in range(3)] for _ in range(2)]
+        idx, _ = wireless.maxweight_schedule(
+            shared_channel, tix, link_counts(tix, per_tree), rng)
 
         def weight(k):
             total = 0
             for l in shared_channel.schedules[k].links:
                 p = max(
-                    (counts[t][l[0]] for t in tix.trees_on_link.get(l, [])),
+                    (per_tree[t][l[0]] for t in tix.trees_on_link.get(l, [])),
                     default=0,
                 )
                 total += p * shared_channel.schedules[k].rates[l]
@@ -101,33 +110,18 @@ def test_maxweight_dominates_every_schedule(triangle, shared_channel):
         assert weight(idx) == max(weight(k) for k in range(len(shared_channel)))
 
 
-def test_lyapunov_value():
-    assert wireless.lyapunov_value([[0, 0], [0, 0]]) == 0.0
-    assert wireless.lyapunov_value([[2], [3]]) == 13.0
-
-
-def test_single_tree_backpressure_helper(k5):
+def test_maxweight_on_one_tree(k5):
     ss = flows.wireline_schedule_set(k5)
     rng = random.Random(20)
     tix = TreeIndex(k5, [star_tree()])
-    counts = [[0, 4, 0, 0, 0]]
-    idx, best_tree = wireless.single_tree_backpressure(ss, tix, counts, rng)
-    assert idx == 0 and best_tree[(1, 0)] == 0
-    with pytest.raises(MultiTreeConfig):
-        wireless.single_tree_backpressure(
-            ss, TreeIndex(k5, example5_trees()), counts * 4, rng
-        )
+    idx, best_tree = wireless.maxweight_schedule(
+        ss, tix, link_counts(tix, [[0, 4, 0, 0, 0]]), rng)
+    assert idx == 0 and best_tree == {(1, 0): 0}
 
 
-def test_static_sss_policy_helper(shared_channel):
-    rng = random.Random(21)
-    rule = flows.SSSRule({0: 1.0})
-    draw_schedule, assign_round = wireless.static_sss_policy(
-        shared_channel, rule, [0.25, 0.75], rng
-    )
-    assert all(draw_schedule() == 0 for _ in range(50))
-    picks = [assign_round() for _ in range(8000)]
-    assert 0.22 < picks.count(0) / len(picks) < 0.28
+def test_lyapunov_value():
+    assert wireless.lyapunov_value([[0, 0], [0, 0]]) == 0.0
+    assert wireless.lyapunov_value([[2], [3]]) == 13.0
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +169,13 @@ def test_fractional_rates_rejected(triangle):
         make_sim(triangle, ss, flows.enumerate_aggregation_trees(triangle))
 
 
+@pytest.mark.parametrize("every", [0, -1, 0.5])
+def test_run_rejects_sample_every_below_one_slot(triangle, shared_channel, every):
+    with pytest.raises(BadParams):
+        wireless.run(triangle, shared_channel, flows.enumerate_aggregation_trees(triangle),
+                     fmux.make_parity(), lam=0.4, seed=1, horizon=10, sample_every=every)
+
+
 def test_packetize_schedule_set(shared_channel):
     packed = wireless.packetize_schedule_set(shared_channel, 0.5)
     assert all(r == 2.0 for s in packed.schedules for r in s.rates.values())
@@ -200,6 +201,15 @@ def test_static_degenerate_rule_fires_one_schedule(triangle, shared_channel):
                    split_weights=[1.0, 1.0], sss_rule=rule)
     m = sim.run(2000)
     assert set(m.schedule_counts) == {0}
+
+
+def test_fixed_split_shares_follow_weights(triangle, shared_channel):
+    trees = flows.enumerate_aggregation_trees(triangle)
+    m = wireless.run(triangle, shared_channel, trees, fmux.make_parity(), lam=1.0,
+                     seed=21, horizon=8000, routing="fixed_split",
+                     split_weights=[0.25, 0.75], arrival_law="deterministic")
+    assert sum(m.assigned_totals) == 8000
+    assert 0.22 < m.assigned_totals[0] / 8000 < 0.28
 
 
 def test_static_schedule_frequencies(triangle, shared_channel):
@@ -243,6 +253,39 @@ def test_run_deterministic(triangle, shared_channel):
                      lam=0.4, seed=10, horizon=3000)
     assert a.backlog_series == b.backlog_series
     assert a.completed == b.completed
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), data=st.data())
+def test_debug_runs_clean_on_random_digraphs(seed, data):
+    # Debug mode checks every slot's queues and counts, and every round's
+    # links and value; any tree subset, policy and schedule set must pass.
+    g = harness.random_digraph(seed, n_max=5)
+    trees = flows.enumerate_aggregation_trees(g)
+    chosen = sorted(data.draw(st.sets(st.integers(0, len(trees) - 1), min_size=1)))
+    routings = ["greedy", "fixed_split"] + (["single_tree"] if len(chosen) == 1 else [])
+    routing = data.draw(st.sampled_from(routings))
+    weights = (data.draw(st.lists(st.floats(0.01, 1.0), min_size=len(chosen),
+                                  max_size=len(chosen)))
+               if routing == "fixed_split" else None)
+    if data.draw(st.booleans()):
+        ss = flows.wireline_schedule_set(g)
+    else:
+        ss = flows.ScheduleSet(tuple(flows.Schedule((l,), {l: g.capacity[l]})
+                                     for l in g.links))
+    scheduling = data.draw(st.sampled_from(wireless.SCHEDULINGS))
+    rule = None
+    if scheduling == "static_sss":
+        w = data.draw(st.lists(st.floats(0.01, 1.0), min_size=len(ss), max_size=len(ss)))
+        rule = flows.SSSRule({k: x / sum(w) for k, x in enumerate(w)})
+    func = data.draw(st.sampled_from([fmux.make_parity(), fmux.make_max(16),
+                                      fmux.make_kth(2, 16)]))
+    lam = data.draw(st.floats(0.1, 3.0))
+    sim = make_sim(g, ss, [trees[t] for t in chosen], lam=lam, seed=seed, func=func,
+                   routing=routing, scheduling=scheduling, split_weights=weights,
+                   sss_rule=rule, debug=True)
+    m = sim.run(120)
+    assert len(sim.rounds) == sum(m.assigned_totals) - m.completed
 
 
 def test_single_star_tree_on_k5(k5):

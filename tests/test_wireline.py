@@ -170,6 +170,14 @@ def test_run_requires_positive_rate(triangle):
         WirelineSimulator(triangle, 0.0, fmux.make_parity(), 0)
 
 
+@pytest.mark.parametrize("every", [0.0, -1.0])
+def test_run_rejects_nonpositive_sample_every(triangle, every):
+    # A sample step that never advances would loop forever.
+    with pytest.raises(BadParams):
+        wireline.run(triangle, 0.5, fmux.make_parity(), seed=1, horizon=10.0,
+                     sample_every=every)
+
+
 def test_order_statistic_needs_enough_sensors(triangle):
     with pytest.raises(BadParams):
         WirelineSimulator(triangle, 0.5, fmux.make_kth(3, 16), 0)
