@@ -1,6 +1,7 @@
+import hashlib
 import json
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -115,11 +116,74 @@ def test_enumerate_limit(k5):
         flows.enumerate_aggregation_trees(k5, limit=10)
 
 
+def brute_force_trees(g):
+    """Every parent choice per sensor, in lexicographic order, kept when all
+    parent chains reach the aggregator."""
+    trees = []
+    for choice in product(*(g.out_neighbors[i] for i in g.sensors)):
+        parent = dict(zip(g.sensors, choice))
+
+        def reaches(v):
+            for _ in range(g.n):
+                if v == g.aggregator:
+                    return True
+                v = parent[v]
+            return False
+
+        if all(reaches(i) for i in g.sensors):
+            trees.append(tuple(zip(g.sensors, choice)))
+    return trees
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000))
+def test_enumeration_matches_brute_force(seed):
+    g = random_digraph(seed, n_max=6)
+    trees = flows.enumerate_aggregation_trees(g)
+    assert [t.parent for t in trees] == brute_force_trees(g)
+
+
 def test_tree_validation(triangle):
     with pytest.raises(BadParams):
         flows.AggregationTree.from_parent_map({1: 0}).validate(triangle)
     with pytest.raises(BadParams):
         flows.AggregationTree.from_parent_map({1: 2, 2: 1}).validate(triangle)
+
+
+@pytest.mark.parametrize("pairs, message", [
+    (((1, 0), (2, 0), (3, 0)), "every non-aggregator node"),
+    (((0, 1), (1, 0), (2, 0), (3, 0), (4, 0)), "every non-aggregator node"),
+    (((2, 2), (1, 0), (3, 0), (4, 0)), r"tree link \(2,2\) not in graph"),
+    (((1, 0), (2, 5), (3, 0), (4, 0)), r"tree link \(2,5\) not in graph"),
+    (((1, 0), (2, -1), (3, 0), (4, 0)), r"tree link \(2,-1\) not in graph"),
+    (((1, 2), (2, 1), (3, 0), (4, 0)), "does not terminate at the aggregator"),
+    (((1, 2), (2, 3), (3, 1), (4, 0)), "does not terminate at the aggregator"),
+], ids=["missing-parent", "parent-of-aggregator", "self-link", "parent-too-large",
+        "parent-negative", "two-cycle", "three-cycle"])
+def test_packing_rejects_invalid_tree_among_valid(k5, pairs, message):
+    bad = flows.AggregationTree(pairs)
+    with pytest.raises(BadParams, match=message) as direct:
+        bad.validate(k5)
+    trees = flows.enumerate_aggregation_trees(k5)
+    with pytest.raises(BadParams) as packed:
+        flows.tree_packing_lp(k5, k5.capacity, trees[:60] + [bad] + trees[60:])
+    assert str(packed.value) == str(direct.value)
+
+
+def test_packing_reports_first_invalid_tree(k5):
+    trees = flows.enumerate_aggregation_trees(k5)
+    cycle = flows.AggregationTree(((1, 2), (2, 1), (3, 0), (4, 0)))
+    outside = flows.AggregationTree(((1, 0), (2, 7), (3, 0), (4, 0)))
+    with pytest.raises(BadParams, match="does not terminate"):
+        flows.tree_packing_lp(k5, k5.capacity, trees[:10] + [cycle] + trees[10:20]
+                              + [outside])
+
+
+def test_packing_accepts_unsorted_pairs(k5):
+    trees = flows.enumerate_aggregation_trees(k5)
+    shuffled = [flows.AggregationTree(t.parent[::-1]) for t in trees]
+    assert (flows.tree_packing_lp(k5, k5.capacity, shuffled).weights
+            == flows.tree_packing_lp(k5, k5.capacity, trees).weights)
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +224,126 @@ def test_example5_witness_packing(k5):
     packing = flows.TreePacking(tuple(trees), (1.0, 1.0, 1.0, 1.0))
     assert packing.total == 4.0
     assert packing.max_violation(k5) <= 0.0
+
+
+# ---------------------------------------------------------------------------
+# recorded enumeration order and packing weights
+# ---------------------------------------------------------------------------
+
+# Recorded from the tree-by-tree enumeration and packing before they moved
+# to arrays: (tree count, sha256 prefix of the parent tuples in order,
+# {tree index: repr(weight)} for every weight that is not 0.0).
+PACKING_GOLDEN = {
+    "K5": (125, "2a938cfa372ec917", {
+        21: "0.19999999999999996", 26: "0.20000000000000007", 44: "0.6",
+        57: "0.19999999999999996", 60: "0.6", 74: "0.20000000000000007", 86: "0.4",
+        94: "0.6", 109: "0.20000000000000007", 113: "0.19999999999999996", 117: "0.4",
+        121: "0.19999999999999996"}),
+    "K7": (16807, "e8ea12f91796ae44", {
+        1522: "0.07692307692307815", 2332: "0.27912087912088096",
+        2368: "0.14505494505494376", 3284: "0.33186813186813263",
+        4605: "0.1670329670329675", 5468: "0.34505494505494455",
+        6098: "0.05714285714285661", 6511: "0.33186813186813185",
+        6681: "0.1758241758241764", 6964: "0.09010989010988879",
+        7886: "0.06813186813186818", 8019: "0.12307692307692275",
+        8107: "0.336263736263736", 8300: "0.17362637362637276",
+        8389: "0.04395604395604463", 8742: "0.006593406593405238",
+        9587: "0.24835164835164925", 10348: "0.18241758241758263",
+        11457: "0.4351648351648346", 11473: "0.23076923076923073",
+        11562: "0.15164835164835205", 12309: "0.19120879120879208",
+        12669: "0.34505494505494444", 12984: "0.2813186813186805",
+        14025: "0.006593406593406237", 14142: "0.17582417582417625",
+        14601: "0.050549450549450536", 15537: "0.30109890109890103",
+        16033: "0.32967032967033016", 16630: "0.31868131868131816"}),
+    "grid9": (192, "73c4b56bc17e5b02", {
+        24: "0.33333333333333337", 28: "0.33333333333333337", 72: "0.3333333333333333",
+        111: "0.6666666666666667", 130: "0.3333333333333333"}),
+    "digraph0": (12, "a08f3524df868ba1", {4: "2.0", 11: "1.0"}),
+    "digraph1": (1, "7e19b48a27a56e1e", {0: "1.0"}),
+    "digraph2": (1, "8eb8a9db3c2c4712", {0: "1.0"}),
+    "digraph3": (1, "de2510d605c16b45", {0: "2.0"}),
+    "digraph4": (4, "17afc85a4df11fed", {0: "2.0", 1: "1.0"}),
+    "digraph5": (135, "f68fe2222bc4bf71", {12: "1.0", 59: "1.0", 133: "1.0"}),
+    "digraph6": (10, "c0bd44b2cc42a81a", {0: "1.0"}),
+    "digraph7": (6, "641c19910a5e2450", {2: "1.0", 4: "2.0"}),
+    "digraph8": (4, "17afc85a4df11fed", {0: "1.0", 1: "2.0"}),
+    "digraph9": (2, "26fd1bb314687028", {0: "2.0"}),
+    "digraph10": (7, "85eabdfdc0f1c6b1", {6: "1.0"}),
+    "digraph11": (5, "5df28e0e891519cf", {2: "1.0", 4: "1.0"}),
+    "digraph12": (4, "9687d35a602cd500", {0: "1.0"}),
+    "digraph13": (4, "32253987b71bee70", {3: "2.0"}),
+    "digraph14": (1, "8eb8a9db3c2c4712", {0: "3.0"}),
+    "digraph15": (4, "aa1a41d7ab168abd", {0: "2.0", 3: "1.0"}),
+    "digraph16": (4, "00d0b5ce3321f103", {0: "1.0", 2: "2.0"}),
+    "digraph17": (24, "ad8223909468d4a3", {17: "1.0"}),
+    "digraph18": (2, "80992dd73e1c391d", {1: "2.0"}),
+    "digraph19": (1, "8eb8a9db3c2c4712", {0: "2.0"}),
+}
+
+# Every tree's parents in sensor order, one digit per sensor.
+TREE_ORDER = {
+    "K5": """
+    0000 0001 0002 0003 0010 0011 0012 0013 0020 0021 0022 0023 0040 0041 0042 0100
+    0101 0102 0103 0110 0111 0112 0113 0120 0121 0122 0123 0140 0141 0142 0300 0301
+    0302 0303 0310 0311 0312 0313 0340 0341 0400 0401 0403 0410 0411 0413 0420 0421
+    0440 0441 2000 2001 2002 2003 2010 2011 2012 2013 2020 2021 2022 2023 2040 2041
+    2042 2300 2301 2302 2303 2340 2400 2403 2410 2420 2440 3000 3001 3002 3003 3020
+    3021 3022 3023 3040 3042 3100 3101 3102 3103 3140 3300 3301 3302 3303 3340 3400
+    3401 3403 3420 3440 4000 4002 4003 4010 4012 4020 4022 4023 4040 4042 4100 4103
+    4110 4120 4140 4300 4302 4303 4310 4340 4400 4403 4410 4420 4440
+    """,
+    "grid9": """
+    12504345 12504347 12504365 12504367 12504385 12504745 12504747 12504785 12508347
+    12508747 12544345 12544347 12544365 12544367 12544385 12544745 12544747 12544785
+    12548347 12548367 12548747 12564745 12564747 12564785 12568747 14102345 14102347
+    14102365 14102367 14102385 14102745 14102747 14102785 14104345 14104347 14104365
+    14104367 14104385 14104745 14104747 14104785 14108347 14108367 14108747 14142345
+    14142347 14142365 14142367 14142385 14142745 14142747 14142785 14144345 14144347
+    14144365 14144367 14144385 14144745 14144747 14144785 14148347 14148367 14148747
+    14162745 14162747 14162785 14164745 14164747 14164785 14168747 14504345 14504347
+    14504365 14504367 14504385 14504745 14504747 14504785 14508347 14508367 14508747
+    14544345 14544347 14544365 14544367 14544385 14544745 14544747 14544785 14548347
+    14548367 14548747 14564745 14564747 14564785 14568747 30142345 30142347 30142365
+    30142367 30142385 30142745 30142747 30142785 30144345 30144347 30144365 30144367
+    30144385 30144745 30144747 30144785 30148347 30148367 30148747 30162745 30162747
+    30164745 30164747 30164785 30168747 30544345 30544347 30544365 30544367 30544385
+    30544745 30544747 30544785 30548347 30548367 30548747 30564745 30564747 30564785
+    30568747 32544345 32544347 32544365 32544367 32544385 32544745 32544747 32544785
+    32548347 32548367 32548747 32564745 32564747 32564785 32568747 34142345 34142347
+    34142365 34142367 34142385 34142745 34142747 34142785 34144345 34144347 34144365
+    34144367 34144385 34144745 34144747 34144785 34148347 34148367 34148747 34162745
+    34162747 34162785 34164745 34164747 34164785 34168747 34544345 34544347 34544365
+    34544367 34544385 34544745 34544747 34544785 34548347 34548367 34548747 34564745
+    34564747 34564785 34568747
+    """,
+}
+
+
+def _packing_graph(name):
+    if name == "K5":
+        return graph.generate("complete", n=5, capacity=1.0)
+    if name == "K7":
+        return graph.generate("complete", n=7, capacity=1.0)
+    if name == "grid9":
+        return graph.generate("grid", n=9)
+    return random_digraph(int(name.removeprefix("digraph")))
+
+
+@pytest.mark.parametrize("name", list(PACKING_GOLDEN))
+def test_packing_matches_recorded_output(name):
+    g = _packing_graph(name)
+    count, order_digest, nonzero = PACKING_GOLDEN[name]
+    trees = flows.enumerate_aggregation_trees(g)
+    parents = [t.parent for t in trees]
+    assert len(trees) == count
+    assert hashlib.sha256(repr(parents).encode()).hexdigest()[:16] == order_digest
+    if name in TREE_ORDER:
+        assert parents == [tuple(zip(g.sensors, map(int, digits)))
+                           for digits in TREE_ORDER[name].split()]
+    packing = flows.tree_packing_lp(g, g.capacity, trees)
+    assert packing.trees == tuple(trees)
+    assert [repr(w) for w in packing.weights] == [nonzero.get(j, "0.0")
+                                                  for j in range(count)]
 
 
 # ---------------------------------------------------------------------------
