@@ -7,6 +7,7 @@ import sys
 import click
 
 from . import flows, fmux, harness
+from .errors import AggNetError
 from .graph import load_graph
 
 
@@ -19,7 +20,17 @@ def _parse_function(name, k, alphabet_size):
     return cfg
 
 
-@click.group()
+class _Group(click.Group):
+    """Reports the package's own errors as one-line usage errors (exit 1)."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except AggNetError as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Group)
 def main():
     """Capacity analysis and simulation for in-network aggregation."""
 
@@ -53,18 +64,7 @@ def analyze(graph_path, schedules_path, func_name, k, alphabet_size, trees_spec,
         delta_star, argmin_node = flows.min_mincut(g, rates)
         sss = None
 
-    if trees_spec == "all":
-        trees = flows.enumerate_aggregation_trees(g, tree_limit)
-    else:
-        with open(trees_spec) as fh:
-            doc = json.load(fh)
-        entries = doc["trees"] if isinstance(doc, dict) else doc
-        trees = [
-            flows.AggregationTree.from_parent_map(
-                {int(i): int(p) for i, p in entry.items()}
-            )
-            for entry in entries
-        ]
+    trees = flows.load_trees(g, trees_spec, tree_limit)
     packing = flows.tree_packing_lp(g, rates, trees).nonzero()
     report = {
         "delta_star": delta_star,

@@ -8,6 +8,13 @@ aggregator), the tree-packing linear program whose optimum equals the
 min-mincut, and the service-split LP that picks the best time-sharing
 over a wireless schedule set.
 
+Enumeration assigns parents sensor by sensor; choosing parent p for
+sensor i closes a cycle exactly when the chain of parents already
+assigned from p stops at i, so that choice is skipped.  The packing LP
+is built from one link-by-tree incidence matrix: every tree's parent
+tuple is stacked into one array, checked there against the rules of
+AggregationTree.validate, and mapped to link rows in one step.
+
 Rates are packets per time unit throughout; the single bits-to-rounds
 conversion lives in max_refresh_rate.
 """
@@ -16,6 +23,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -95,8 +103,12 @@ def wireline_schedule_set(g: NetworkGraph) -> ScheduleSet:
 def load_schedule_set(path) -> ScheduleSet:
     with open(path) as fh:
         doc = json.load(fh)
+    if "schedules" not in doc:
+        raise BadParams("schedule file has no 'schedules'")
     schedules = []
     for idx, entry in enumerate(doc["schedules"]):
+        if "links" not in entry:
+            raise BadParams(f"schedule {idx} has no links")
         links = tuple((int(u), int(v)) for u, v in entry["links"])
         if "rates" not in entry:
             raise BadParams(f"schedule {idx} has no rates")
@@ -250,7 +262,7 @@ class AggregationTree:
 
     def validate(self, g: NetworkGraph):
         pm = self.parent_map
-        if sorted(pm) != g.sensors:
+        if len(self.parent) != len(pm) or sorted(pm) != g.sensors:
             raise BadParams("tree must assign a parent to every non-aggregator node")
         for i, p in pm.items():
             if (i, p) not in g.capacity:
@@ -275,37 +287,55 @@ def enumerate_aggregation_trees(g: NetworkGraph, limit: int = 100_000):
     if limit <= 0:
         raise BadParams("limit must be positive")
     sensors = g.sensors
-    a = g.aggregator
     trees = []
-    parent = {}
-
-    def chain_ok(start):
-        # Following assigned parents from `start` must not loop back into
-        # the chain; hitting the aggregator or an unassigned node is fine.
-        seen = set()
-        v = start
-        while v in parent:
-            if v in seen:
-                return False
-            seen.add(v)
-            v = parent[v]
-        return True
+    parent = [-1] * g.n  # -1 while unassigned, and always at the aggregator
+    pairs = []  # (sensor, parent) so far, ascending by sensor
 
     def assign(idx):
         if idx == len(sensors):
             if len(trees) >= limit:
                 raise TooManyTrees(limit)
-            trees.append(AggregationTree.from_parent_map(parent))
+            trees.append(AggregationTree(tuple(pairs)))
             return
         i = sensors[idx]
         for p in g.out_neighbors[i]:
+            # i -> p closes a cycle exactly when p's chain of assigned
+            # parents stops at i, the one unassigned node it must not reach.
+            v = p
+            while parent[v] >= 0:
+                v = parent[v]
+            if v == i:
+                continue
             parent[i] = p
-            if chain_ok(i):
-                assign(idx + 1)
-            del parent[i]
+            pairs.append((i, p))
+            assign(idx + 1)
+            pairs.pop()
+            parent[i] = -1
 
     assign(0)
     return trees
+
+
+def load_trees(g: NetworkGraph, spec="all", limit: int = 100_000):
+    """Aggregation trees from a tree spec.
+
+    "all" (or None) enumerates every tree, up to `limit`; a path names a
+    JSON file holding a list of parent maps, bare or under "trees"; a list
+    holds parent maps or AggregationTrees.
+    """
+    if spec == "all" or spec is None:
+        return enumerate_aggregation_trees(g, limit)
+    if isinstance(spec, str):
+        with open(spec) as fh:
+            doc = json.load(fh)
+        if isinstance(doc, dict) and "trees" not in doc:
+            raise BadParams("tree file has no 'trees'")
+        spec = doc["trees"] if isinstance(doc, dict) else doc
+    return [
+        entry if isinstance(entry, AggregationTree)
+        else AggregationTree.from_parent_map({int(i): int(p) for i, p in entry.items()})
+        for entry in spec
+    ]
 
 
 @dataclass(frozen=True)
@@ -341,6 +371,54 @@ class TreePacking:
         return TreePacking(ts, ws)
 
 
+def _raise_first_invalid(g: NetworkGraph, trees):
+    """Raise the BadParams of the first of `trees` that fails validate()."""
+    for t in trees:
+        t.validate(g)
+    raise BadParams("aggregation tree failed validation")
+
+
+def _tree_incidence(g: NetworkGraph, trees) -> sp.csc_array:
+    """Link-by-tree 0/1 matrix, every tree checked as AggregationTree.validate does.
+
+    All parent tuples are stacked into one (tree, sensor, pair) array.  A
+    tree is valid when its nodes are exactly the sensors, every (node,
+    parent) pair is a link, and every parent chain reaches the aggregator:
+    k squarings of the next-hop array follow each chain for 2**k hops.  The
+    first invalid tree raises its own validate() error.
+    """
+    n, a, m = g.n, g.aggregator, len(g.sensors)
+    if any(len(t.parent) != m for t in trees):
+        _raise_first_invalid(g, trees)
+    # Read as floats, so that no non-integer id is truncated into a valid one.
+    ids = np.fromiter(chain.from_iterable(chain.from_iterable(t.parent for t in trees)),
+                      dtype=float, count=2 * m * len(trees)).reshape(len(trees), m, 2)
+    pairs = ids.astype(np.intp)
+    nodes, parents = pairs[..., 0], pairs[..., 1]
+    ok = (pairs == ids).all(axis=(1, 2)) & (np.sort(nodes, axis=1) == g.sensors).all(axis=1)
+
+    nodes = np.where(ok[:, None], nodes, g.sensors)  # in range from here on
+    inside = (parents >= 0) & (parents < n)
+    link_of = np.full((n, n), -1)
+    link_of[tuple(np.array(g.links).T)] = np.arange(len(g.links))
+    link = np.where(inside, link_of[nodes, np.where(inside, parents, a)], -1)
+    ok &= (link >= 0).all(axis=1)
+
+    hop = np.full((len(trees), n), a)
+    np.put_along_axis(hop, nodes, np.where(ok[:, None], parents, a), axis=1)
+    for _ in range(n.bit_length()):
+        hop = np.take_along_axis(hop, hop, axis=1)
+    ok &= (hop == a).all(axis=1)
+    if not ok.all():
+        _raise_first_invalid(g, [trees[j] for j in np.flatnonzero(~ok)])
+
+    # One column per tree, its m links in ascending row order: the layout
+    # that converting the dense matrix to CSC gives.
+    return sp.csc_array((np.ones(link.size), np.sort(link, axis=1).ravel(),
+                         np.arange(0, link.size + 1, m)),
+                        shape=(len(g.links), len(trees)))
+
+
 def tree_packing_lp(g: NetworkGraph, caps: RateVector, trees) -> TreePacking:
     """Maximize the total weight over the given trees subject to link capacities.
 
@@ -352,18 +430,11 @@ def tree_packing_lp(g: NetworkGraph, caps: RateVector, trees) -> TreePacking:
     trees = list(trees)
     if not trees:
         raise BadParams("need at least one tree")
-    for t in trees:
-        t.validate(g)
+    a_ub = _tree_incidence(g, trees)
     validate_rates(g, caps)
 
-    links = list(g.links)
-    link_idx = {l: k for k, l in enumerate(links)}
     n_trees = len(trees)
-    a_ub = np.zeros((len(links), n_trees))
-    for j, tree in enumerate(trees):
-        for l in tree.tree_links:
-            a_ub[link_idx[l], j] = 1.0
-    b_ub = np.array([caps[l] for l in links])
+    b_ub = np.array([caps[l] for l in g.links])
     c = -np.ones(n_trees)
 
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs")
@@ -374,8 +445,9 @@ def tree_packing_lp(g: NetworkGraph, caps: RateVector, trees) -> TreePacking:
     scale = max(1.0, float(np.max(b_ub)))
     primal_viol = float(np.max(a_ub @ x - b_ub, initial=0.0))
     duals = -np.asarray(res.ineqlin.marginals)  # prices on the capacity rows
-    dual_feas = float(np.min(a_ub.T @ duals - 1.0, initial=0.0))
-    comp_slack = float(np.max(np.abs(x * (a_ub.T @ duals - 1.0)), initial=0.0))
+    reduced = a_ub.T @ duals - 1.0  # each tree's price minus its unit profit
+    dual_feas = float(np.min(reduced, initial=0.0))
+    comp_slack = float(np.max(np.abs(x * reduced), initial=0.0))
     gap = abs(float(x.sum()) - float(duals @ b_ub))
     residuals = {
         "primal_violation": primal_viol,
@@ -391,7 +463,7 @@ def tree_packing_lp(g: NetworkGraph, caps: RateVector, trees) -> TreePacking:
     ):
         raise LPNumericalFailure("tree packing LP residual check failed", residuals)
 
-    return TreePacking(tuple(trees), tuple(float(v) for v in x))
+    return TreePacking(tuple(trees), tuple(x.tolist()))
 
 
 # ---------------------------------------------------------------------------

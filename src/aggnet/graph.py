@@ -271,6 +271,13 @@ def load_graph(path) -> NetworkGraph:
     """Read the JSON graph format and validate it via build_graph."""
     with open(path) as fh:
         doc = json.load(fh)
+    for key in ("nodes", "aggregator", "links"):
+        if key not in doc:
+            raise BadParams(f"graph file has no {key!r}")
+    for idx, e in enumerate(doc["links"]):
+        for key in ("from", "to"):
+            if key not in e:
+                raise BadParams(f"link {idx} has no {key!r}")
     links = [(e["from"], e["to"]) for e in doc["links"]]
     caps = {(e["from"], e["to"]): e.get("capacity", 1.0) for e in doc["links"]}
     return build_graph(doc["nodes"], doc["aggregator"], links, caps)

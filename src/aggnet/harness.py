@@ -164,23 +164,7 @@ class ExperimentConfig:
         return flows.wireline_schedule_set(g)
 
     def load_trees(self, g):
-        if self.trees == "all" or self.trees is None:
-            return flows.enumerate_aggregation_trees(g, self.tree_limit)
-        if isinstance(self.trees, str):
-            with open(self.trees) as fh:
-                doc = json.load(fh)
-            entries = doc["trees"] if isinstance(doc, dict) else doc
-        else:
-            entries = self.trees
-        out = []
-        for entry in entries:
-            if isinstance(entry, flows.AggregationTree):
-                out.append(entry)
-            else:
-                out.append(flows.AggregationTree.from_parent_map(
-                    {int(k): int(v) for k, v in entry.items()}
-                ))
-        return out
+        return flows.load_trees(g, self.trees, self.tree_limit)
 
 
 # ---------------------------------------------------------------------------

@@ -146,3 +146,30 @@ def test_verify_command(runner):
     result = runner.invoke(main, ["verify", "--suite", "fmux"])
     assert result.exit_code == 0, result.output
     assert "[PASS] fmux.fmux_properties" in result.output
+
+
+def test_package_error_is_one_line(runner, triangle_file):
+    result = runner.invoke(main, [
+        "simulate", "--model", "wireline", "--graph", triangle_file,
+        "--lambda", "0.5", "--seed", "1", "--horizon", "10", "--sample-every", "0",
+    ])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == "Error: sample_every must be positive, got 0.0\n"
+
+
+def test_too_many_trees_is_one_line(runner, triangle_file):
+    result = runner.invoke(main, ["analyze", "--graph", triangle_file, "--tree-limit", "1"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("Error: more than 1 aggregation trees")
+    assert len(result.output.splitlines()) == 1
+
+
+def test_other_errors_propagate(runner, triangle_file, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("not a package error")
+
+    monkeypatch.setattr(flows, "min_mincut", broken)
+    result = runner.invoke(main, ["analyze", "--graph", triangle_file])
+    assert isinstance(result.exception, RuntimeError)

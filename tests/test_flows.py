@@ -153,13 +153,14 @@ def test_tree_validation(triangle):
 @pytest.mark.parametrize("pairs, message", [
     (((1, 0), (2, 0), (3, 0)), "every non-aggregator node"),
     (((0, 1), (1, 0), (2, 0), (3, 0), (4, 0)), "every non-aggregator node"),
+    (((1, 0), (1, 2), (2, 0), (3, 0), (4, 0)), "every non-aggregator node"),
     (((2, 2), (1, 0), (3, 0), (4, 0)), r"tree link \(2,2\) not in graph"),
     (((1, 0), (2, 5), (3, 0), (4, 0)), r"tree link \(2,5\) not in graph"),
     (((1, 0), (2, -1), (3, 0), (4, 0)), r"tree link \(2,-1\) not in graph"),
     (((1, 2), (2, 1), (3, 0), (4, 0)), "does not terminate at the aggregator"),
     (((1, 2), (2, 3), (3, 1), (4, 0)), "does not terminate at the aggregator"),
-], ids=["missing-parent", "parent-of-aggregator", "self-link", "parent-too-large",
-        "parent-negative", "two-cycle", "three-cycle"])
+], ids=["missing-parent", "parent-of-aggregator", "two-parents", "self-link",
+        "parent-too-large", "parent-negative", "two-cycle", "three-cycle"])
 def test_packing_rejects_invalid_tree_among_valid(k5, pairs, message):
     bad = flows.AggregationTree(pairs)
     with pytest.raises(BadParams, match=message) as direct:
@@ -517,3 +518,27 @@ def test_load_schedule_set_rejects_malformed_entry(tmp_path, entry):
     path.write_text(json.dumps({"schedules": [good, entry]}))
     with pytest.raises(BadParams, match="schedule 1"):
         flows.load_schedule_set(path)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"links": [[1, 0]]}, "schedule file has no 'schedules'"),
+    ({"schedules": [{"rates": [1.0]}]}, "schedule 0 has no links"),
+], ids=["schedules", "links"])
+def test_load_schedule_set_names_missing_field(tmp_path, doc, message):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(BadParams, match=message):
+        flows.load_schedule_set(path)
+
+
+def test_load_trees_specs(tmp_path, triangle):
+    assert flows.load_trees(triangle) == flows.enumerate_aggregation_trees(triangle)
+    star = flows.AggregationTree.from_parent_map({1: 0, 2: 0})
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps([{"1": 0, "2": 0}]))
+    assert flows.load_trees(triangle, str(bare)) == [star]
+    assert flows.load_trees(triangle, [{1: 0, 2: 0}, star]) == [star, star]
+    keyless = tmp_path / "keyless.json"
+    keyless.write_text(json.dumps({"tree": [{"1": 0, "2": 0}]}))
+    with pytest.raises(BadParams, match="tree file has no 'trees'"):
+        flows.load_trees(triangle, str(keyless))

@@ -162,3 +162,17 @@ def test_loader_validates(tmp_path):
     }))
     with pytest.raises(UnreachableAggregator):
         graph.load_graph(path)
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"aggregator": 0, "links": [{"from": 1, "to": 0}]}, "'nodes'"),
+    ({"nodes": 2, "links": [{"from": 1, "to": 0}]}, "'aggregator'"),
+    ({"nodes": 3, "aggregator": 0}, "'links'"),
+    ({"nodes": 2, "aggregator": 0, "links": [{"to": 0}]}, "link 0 has no 'from'"),
+    ({"nodes": 2, "aggregator": 0, "links": [{"from": 1}]}, "link 0 has no 'to'"),
+], ids=["nodes", "aggregator", "links", "from", "to"])
+def test_loader_names_missing_field(tmp_path, doc, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(BadParams, match=field):
+        graph.load_graph(path)
