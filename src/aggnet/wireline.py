@@ -51,7 +51,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from heapq import heappop, heappush
+from itertools import repeat
+from math import log
 from random import Random
 
 from .errors import BadParams, OracleMismatch
@@ -224,17 +227,31 @@ def fluid_lyapunov(g: NetworkGraph, x, alpha: float) -> float:
 # Simulator
 # ---------------------------------------------------------------------------
 
+class _Memo(dict):
+    """A dict that computes and stores a missing value on first lookup."""
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
+
+
 class _Round:
-    __slots__ = ("rid", "fp", "useful", "origins", "dests", "edges", "payloads",
+    __slots__ = ("rid", "fp", "avail", "origins", "edges", "held", "payloads",
                  "sensed", "t_arrive", "contrib")
 
-    def __init__(self, rid, fp, useful, payloads, sensed, t_arrive):
+    def __init__(self, rid, fp, avail, payloads, sensed, t_arrive):
         self.rid = rid
         self.fp = fp
-        self.useful = useful    # (useful links, link bitmask) of fp
-        self.origins = 0        # nodes currently transmitting this round
-        self.dests = {}         # node -> count of in-flight transfers toward it
-        self.edges = set()      # link indices carrying this round
+        self.avail = avail      # link bitmask: where a transfer may start now
+        self.origins = 0        # node bitmask: nodes transmitting this round
+        self.edges = 0          # link bitmask: links carrying this round
+        self.held = 0           # link bitmask: out-links of nodes awaiting a merge
         self.payloads = payloads
         self.sensed = sensed
         self.t_arrive = t_arrive
@@ -284,6 +301,7 @@ class WirelineSimulator:
         self.g = g
         self.lam = lam
         self.func = func
+        self._combine = func.combine
         self.rng = Random(seed)
         self.seed = seed
         self.debug = debug
@@ -298,30 +316,35 @@ class WirelineSimulator:
         self.links = list(g.links)
         self.nlinks = len(self.links)
         self.link_rate = [g.capacity[l] for l in self.links]
-        self.link_u = [u for u, _ in self.links]
-        self.link_uvmask = [(1 << u) | (1 << v) for u, v in self.links]
+        self._link_ends = [(u, v, 1 << u, 1 << v) for u, v in self.links]
         self.acyclic = g.is_acyclic()
 
         self.idle: dict[int, list] = {}       # footprint mask -> idle rounds
         self.active: dict[int, _Round] = {}   # rid -> round with live transfers
         self.busy = [None] * self.nlinks      # link index -> round or None
+        self.busy_mask = 0                    # the busy links as a bitmask
         self.in_flight = 0
         self.now = 0.0
         self._next_rid = 0
         self._seq = 0
         self._heap = []
         # Per node, as bitmasks over link indices: its live (rate > 0)
-        # out-links, and all its in-links.
+        # out-links, all its in-links, and every link it is an end of.
         self._out_links = [0] * n
         self._in_links = [0] * n
+        self._touch_links = [0] * n
         for link_idx, (u, v) in enumerate(self.links):
-            self._in_links[v] |= 1 << link_idx
+            bit = 1 << link_idx
+            self._in_links[v] |= bit
+            self._touch_links[u] |= bit
+            self._touch_links[v] |= bit
             if self.link_rate[link_idx] > 0:
-                self._out_links[u] |= 1 << link_idx
-        self._useful_memo = {}                # fp -> (useful links, link bitmask)
+                self._out_links[u] |= bit
+        self._useful_memo = _Memo(self._useful_links)  # fp -> _useful(fp)
         self._idle_by_link = [dict() for _ in range(self.nlinks)]  # fp -> rounds
-        self._valid_memo = {}
+        self._valid_memo = _Memo(partial(footprint_is_valid, g))
         self._sensors = g.sensors
+        self._sensor_set = set(self._sensors)
         # Sensor sampling: one bit-draw per value when the alphabet allows.
         bits = func.alphabet_size.bit_length() - 1
         self._alphabet_bits = bits if (1 << bits) == func.alphabet_size else None
@@ -331,26 +354,25 @@ class WirelineSimulator:
     # -- usefulness ---------------------------------------------------------
 
     def _footprint_valid(self, mask):
-        cached = self._valid_memo.get(mask)
-        if cached is None:
-            cached = footprint_is_valid(self.g, mask)
-            self._valid_memo[mask] = cached
-        return cached
+        return self._valid_memo[mask]
 
     def _useful(self, fp):
         """Links an idle round with footprint `fp` has a useful packet on.
 
         Returns the link indices in ascending order and the same set as a
-        bitmask over link indices.  A sensor w of the footprint with fewer
-        than two footprint out-neighbors pins them: sending from one would
-        isolate w (non-isolation).  Every other footprint node except the
-        aggregator may send on any live out-link whose head holds the
-        round; on cyclic graphs the remaining footprint must also stay
-        valid.
+        bitmask over link indices, computed once per footprint.
         """
-        got = self._useful_memo.get(fp)
-        if got is not None:
-            return got
+        return self._useful_memo[fp]
+
+    def _useful_links(self, fp):
+        """Compute `_useful(fp)` from node bitmasks.
+
+        A sensor w of the footprint with fewer than two footprint
+        out-neighbors pins them: sending from one would isolate w
+        (non-isolation).  Every other footprint node except the aggregator
+        may send on any live out-link whose head holds the round; on cyclic
+        graphs the remaining footprint must also stay valid.
+        """
         out_mask = self.out_mask
         out_links = self._out_links
         in_links = self._in_links
@@ -388,8 +410,23 @@ class WirelineSimulator:
             lsb = rest & -rest
             links.append(lsb.bit_length() - 1)
             rest ^= lsb
-        got = self._useful_memo[fp] = (tuple(links), mask)
-        return got
+        return tuple(links), mask
+
+    def _refresh_avail(self, r):
+        """Set the links round `r` may start a transfer on right now.
+
+        These are the useful links of its footprint, minus every link with
+        an end at a node sending the round and every out-link of a node
+        awaiting an in-flight merge of it (the commitment holds).
+        """
+        avail = self._useful_memo[r.fp][1] & ~r.held
+        touch = self._touch_links
+        m = r.origins
+        while m:
+            lsb = m & -m
+            avail &= ~touch[lsb.bit_length() - 1]
+            m ^= lsb
+        r.avail = avail
 
     def is_useful(self, rid, link) -> bool:
         """Whether round `rid` has a useful packet across the (idle) link.
@@ -404,11 +441,7 @@ class WirelineSimulator:
         return self._round_eligible(r, link_idx)
 
     def _round_eligible(self, r, link_idx):
-        return (
-            not r.origins & self.link_uvmask[link_idx]
-            and self.link_u[link_idx] not in r.dests
-            and bool(r.useful[1] >> link_idx & 1)
-        )
+        return bool(r.avail >> link_idx & 1)
 
     def _find(self, rid) -> _Round:
         r = self.active.get(rid)
@@ -431,7 +464,7 @@ class WirelineSimulator:
             for node in footprint:
                 keep |= 1 << node
             r.fp = keep
-            r.useful = self._useful(keep)
+            r.avail = self._useful(keep)[1]
             r.payloads = {i: p for i, p in r.payloads.items() if keep >> i & 1}
             if r.contrib is not None:
                 r.contrib = {i: s for i, s in r.contrib.items() if keep >> i & 1}
@@ -445,21 +478,20 @@ class WirelineSimulator:
             rng = self.rng
             bits = self._alphabet_bits
             if bits:
-                values = {i: rng.getrandbits(bits) for i in sensors}
+                draws = map(rng.getrandbits, repeat(bits, len(sensors)))
             elif bits == 0:
-                values = dict.fromkeys(sensors, 0)
+                draws = repeat(0, len(sensors))
             else:
-                alpha = f.alphabet_size
-                values = {i: rng.randrange(alpha) for i in sensors}
+                draws = map(rng.randrange, repeat(f.alphabet_size, len(sensors)))
+            values = dict(zip(sensors, draws))
         else:
             values = {i: f.check_value(x) for i, x in dict(values).items()}
-        lift = f.lift
-        payloads = {i: lift(x) for i, x in values.items()}
+        payloads = dict(zip(values, map(f.lift, values.values())))
         payloads[self.a] = f.empty_payload
         rid = self._next_rid
         self._next_rid += 1
-        r = _Round(rid, self.full_mask, self._useful(self.full_mask), payloads, values,
-                   self.now)
+        fp = self.full_mask
+        r = _Round(rid, fp, self._useful_memo[fp][1], payloads, values, self.now)
         if self.debug:
             r.contrib = {i: {i} for i in sensors}
             r.contrib[self.a] = set()
@@ -483,31 +515,27 @@ class WirelineSimulator:
             return
         rounds = self.idle[r.fp] = [r]
         by_link = self._idle_by_link
-        for link_idx in r.useful[0]:
+        for link_idx in self._useful_memo[r.fp][0]:
             by_link[link_idx][r.fp] = rounds
 
     # -- transfers ----------------------------------------------------------
 
-    def _start(self, link_idx, r, from_idle_class=None, idx_in_class=None):
-        u, v = self.links[link_idx]
-        if from_idle_class is not None:
-            rounds = self.idle[from_idle_class]
-            rounds[idx_in_class] = rounds[-1]
-            rounds.pop()
-            if not rounds:
-                del self.idle[from_idle_class]
-                by_link = self._idle_by_link
-                for li in r.useful[0]:
-                    del by_link[li][from_idle_class]
-        if r.rid not in self.active:
-            self.active[r.rid] = r
-        r.origins |= 1 << u
-        r.dests[v] = r.dests.get(v, 0) + 1
-        r.edges.add(link_idx)
+    def _start(self, link_idx, r):
+        """Start a transfer of round `r`, which must be eligible, on the link."""
+        bit = 1 << link_idx
+        u, v, ub, _vb = self._link_ends[link_idx]
+        self.active[r.rid] = r
+        r.origins |= ub
+        r.edges |= bit
+        held = self._out_links[v]
+        r.held |= held
+        r.avail &= ~(self._touch_links[u] | held)
         self.busy[link_idx] = r
-        dur = self.rng.expovariate(self.link_rate[link_idx])
+        self.busy_mask |= bit
         self._seq += 1
-        heappush(self._heap, (self.now + dur, self._seq, link_idx))
+        heappush(self._heap, (
+            self.now - log(1.0 - self.rng.random()) / self.link_rate[link_idx],
+            self._seq, link_idx))
 
     def select_packet(self, link) -> int | None:
         """Uniform choice over all useful packets across an idle link.
@@ -517,58 +545,53 @@ class WirelineSimulator:
         through their footprint-class counts; active rounds individually.
         """
         link_idx = self.links.index(tuple(link)) if not isinstance(link, int) else link
-        return self._full_select(link_idx, None)
-
-    def peek_select(self, link) -> int | None:
-        """Draw as select_packet would, without starting the transfer."""
-        link_idx = self.links.index(tuple(link)) if not isinstance(link, int) else link
-        choice = self._draw_candidate(link_idx, None)
-        if choice is None:
-            return None
-        kind, payload = choice
-        if kind == "idle":
-            fp, pos = payload
-            return self.idle[fp][pos].rid
-        return payload.rid
-
-    def _draw_candidate(self, link_idx, extra):
         if self.busy[link_idx] is not None or self.link_rate[link_idx] <= 0:
             return None
-        u = self.link_u[link_idx]
-        uvmask = self.link_uvmask[link_idx]
-        classes = self._idle_by_link[link_idx]
-        actives = [
-            r for r in self.active.values()
-            if not r.origins & uvmask and u not in r.dests
-            and r.useful[1] >> link_idx & 1
-        ]
-        total = sum(map(len, classes.values())) + len(actives)
-        if extra is not None and self._round_eligible(extra, link_idx):
-            total += 1
-        if total == 0:
-            return None
-        pick = self.rng.randrange(total)
-        for fp, rounds in classes.items():
-            count = len(rounds)
-            if pick < count:
-                return ("idle", (fp, pick))
-            pick -= count
-        if pick < len(actives):
-            return ("round", actives[pick])
-        return ("round", extra)
+        return self._full_select(link_idx, None)
 
     def _full_select(self, link_idx, extra):
-        choice = self._draw_candidate(link_idx, extra)
-        if choice is None:
+        """Draw one useful packet across an idle, live link and start it.
+
+        The candidates are, in order, the rounds of the link's idle classes,
+        the active rounds eligible on it, and `extra`, a round between an
+        event and its parking, when eligible.  The pick is drawn the way
+        ``Random.randrange(total)`` draws it (``getrandbits`` of the bit
+        length of `total`, redrawn until below `total`), and the transit
+        time the way ``Random.expovariate`` does, ``-log(1 - random()) /
+        rate``, so the run takes the same random bits in the same order as
+        those calls would.
+        """
+        bit = 1 << link_idx
+        classes = self._idle_by_link[link_idx]
+        n_idle = sum(map(len, classes.values()))
+        actives = [r for r in self.active.values() if r.avail & bit]
+        if extra is not None and extra.avail & bit:
+            actives.append(extra)
+        total = n_idle + len(actives)
+        if not total:
             return None
-        kind, payload = choice
-        if kind == "idle":
-            fp, pos = payload
-            r = self.idle[fp][pos]
-            self._start(link_idx, r, from_idle_class=fp, idx_in_class=pos)
+        getrandbits = self.rng.getrandbits
+        k = total.bit_length()
+        pick = getrandbits(k)
+        while pick >= total:
+            pick = getrandbits(k)
+        if pick >= n_idle:
+            r = actives[pick - n_idle]
         else:
-            r = payload
-            self._start(link_idx, r)
+            for fp, rounds in classes.items():
+                count = len(rounds)
+                if pick < count:
+                    break
+                pick -= count
+            r = rounds[pick]
+            rounds[pick] = rounds[-1]
+            rounds.pop()
+            if not rounds:
+                del self.idle[fp]
+                by_link = self._idle_by_link
+                for li in self._useful_memo[fp][0]:
+                    del by_link[li][fp]
+        self._start(link_idx, r)
         return r.rid
 
     # -- completion ---------------------------------------------------------
@@ -579,25 +602,24 @@ class WirelineSimulator:
         if r is None:
             raise BadParams(f"link {self.links[link_idx]} is idle")
         self.busy[link_idx] = None
-        u, v = self.links[link_idx]
-        ub, vb = 1 << u, 1 << v
-        f = self.func
+        bit = 1 << link_idx
+        self.busy_mask ^= bit
+        u, v, ub, vb = self._link_ends[link_idx]
 
-        r.edges.discard(link_idx)
-        r.origins &= ~ub
-        if r.dests.get(v, 0) <= 1:
-            r.dests.pop(v, None)
-        else:
-            r.dests[v] -= 1
-        payload = r.payloads.pop(u)
-        r.fp &= ~ub
-        if r.fp & vb:
-            r.payloads[v] = f.combine(r.payloads[v], payload)
+        edges = r.edges = r.edges ^ bit
+        r.origins ^= ub
+        if not edges & self._in_links[v]:
+            r.held &= ~self._out_links[v]
+        payloads = r.payloads
+        payload = payloads.pop(u)
+        fp = r.fp = r.fp & ~ub
+        if fp & vb:
+            payloads[v] = self._combine(payloads[v], payload)
         else:
             # Receiver forwarded its own packet mid-transfer; the arriving
             # packet re-establishes it in the footprint.
-            r.fp |= vb
-            r.payloads[v] = payload
+            fp = r.fp = fp | vb
+            payloads[v] = payload
             self.metrics.reestablished += 1
         if self.debug:
             moved = r.contrib.pop(u)
@@ -607,29 +629,31 @@ class WirelineSimulator:
                     f"round {r.rid}: sources {into & moved} folded twice at node {v}"
                 )
             into.update(moved)
-            if not self._footprint_valid(r.fp):
+            if not self._footprint_valid(fp):
                 raise AssertionError(
-                    f"round {r.rid}: footprint {r.fp:b} invalid after ({u},{v})"
+                    f"round {r.rid}: footprint {fp:b} invalid after ({u},{v})"
                 )
-            if set(r.payloads) != {i for i in range(self.g.n) if r.fp >> i & 1}:
+            if set(payloads) != {i for i in range(self.g.n) if fp >> i & 1}:
                 raise AssertionError(f"round {r.rid}: payload keys drifted from footprint")
 
-        if r.fp == self.a_bit:
+        if fp == self.a_bit:
             self._finish_round(r)
             return None
-        r.useful = self._useful(r.fp)
-        if r.edges:
+        if edges:
+            self._refresh_avail(r)
             return r
+        r.avail = self._useful_memo[fp][1]
         del self.active[r.rid]
         return r  # floating; caller reinserts after the activity pass
 
     def _finish_round(self, r):
         f = self.func
         got = f.finalize(r.payloads[self.a])
-        expected = f.direct([r.sensed[i] for i in self.g.sensors])
+        sensed = r.sensed
+        expected = f.direct([sensed[i] for i in self._sensors])
         if got != expected:
             raise OracleMismatch(r.rid, got, expected)
-        if self.debug and r.contrib[self.a] != set(self.g.sensors):
+        if self.debug and r.contrib[self.a] != self._sensor_set:
             raise AssertionError(
                 f"round {r.rid}: contributors {r.contrib[self.a]} != sensor set"
             )
@@ -653,9 +677,15 @@ class WirelineSimulator:
         m = self.metrics = WirelineMetrics(lam=self.lam, seed=self.seed, horizon=horizon)
 
         heap = self._heap
+        random = self.rng.random
+        lam = self.lam
+        idle = self.idle
+        activity_pass = self._activity_pass
+        debug = self.debug
         self._seq += 1
-        heappush(heap, (self.rng.expovariate(self.lam), self._seq, -1))
+        heappush(heap, (-log(1.0 - random()) / lam, self._seq, -1))
         next_sample = 0.0
+        events = 0
 
         while heap:
             t, _seq, link_idx = heap[0]
@@ -666,29 +696,32 @@ class WirelineSimulator:
                 self._sample(m, next_sample, track_classes)
                 next_sample += sample_every
             self.now = t
-            m.events += 1
+            events += 1
 
             if link_idx < 0:
                 self._make_round()
                 r = self._floating
-                self._activity_pass(changed=r, freed=None)
-                if not r.edges:
-                    self._park(r)
+                activity_pass(r, None)
                 self._seq += 1
-                heappush(heap, (t + self.rng.expovariate(self.lam), self._seq, -1))
+                heappush(heap, (t - log(1.0 - random()) / lam, self._seq, -1))
+                if self.in_flight > m.max_in_flight:
+                    m.max_in_flight = self.in_flight
             else:
                 r = self.complete_transfer(link_idx)
-                self._activity_pass(changed=r, freed=link_idx)
-                if r is not None and not r.edges:
+                activity_pass(r, link_idx)
+            if r is not None and not r.edges:
+                rounds = idle.get(r.fp)
+                if rounds is None:
                     self._park(r)
+                else:
+                    rounds.append(r)
 
-            if self.in_flight > m.max_in_flight:
-                m.max_in_flight = self.in_flight
-            if self.debug:
+            if debug:
                 self._assert_activity_condition()
-            if max_events is not None and m.events >= max_events:
+            if max_events is not None and events >= max_events:
                 break
 
+        m.events = events
         while next_sample <= horizon:
             self._sample(m, next_sample, track_classes)
             next_sample += sample_every
@@ -700,25 +733,20 @@ class WirelineSimulator:
 
         Any link that was already idle had no useful packets before the
         event, so the only round it may newly serve is the changed one, and
-        only on the links its footprint makes useful; the freed link instead
-        needs a full uniform selection over everything.
+        only on the idle links in its `avail` mask, taken in ascending
+        order; the freed link instead needs a full uniform selection over
+        everything.
         """
         if freed is not None:
-            extra = changed if changed is not None and not changed.edges \
-                and changed.rid not in self.active else None
-            self._full_select(freed, extra)
+            self._full_select(freed, changed if changed is not None
+                              and not changed.edges else None)
         if changed is None:
             return
         r = changed
-        busy = self.busy
-        uvmask = self.link_uvmask
-        link_u = self.link_u
-        for link_idx in r.useful[0]:
-            if busy[link_idx] is not None or link_idx == freed:
-                continue
-            if r.origins & uvmask[link_idx] or link_u[link_idx] in r.dests:
-                continue
-            self._start(link_idx, r)
+        free = r.avail & ~self.busy_mask
+        while free:
+            self._start((free & -free).bit_length() - 1, r)
+            free = r.avail & ~self.busy_mask
 
     def _assert_idle_index(self):
         """Each link's index holds its useful idle classes, in `idle` order."""
@@ -733,6 +761,27 @@ class WirelineSimulator:
 
     def _assert_activity_condition(self):
         self._assert_idle_index()
+        for fp, rounds in self.idle.items():
+            if any(r.avail != self._useful(fp)[1] for r in rounds):
+                raise AssertionError(f"idle class {fp:b}: avail differs from useful")
+        busy_mask = 0
+        for link_idx, r in enumerate(self.busy):
+            if r is not None:
+                busy_mask |= 1 << link_idx
+        if busy_mask != self.busy_mask:
+            raise AssertionError("busy mask drifted from busy links")
+        for r in self.active.values():
+            # The eligibility rule, link by link.
+            useful = self._useful(r.fp)[1]
+            want = 0
+            dests = {v for link_idx, (_u, v) in enumerate(self.links)
+                     if r.edges >> link_idx & 1}
+            for link_idx, (u, v) in enumerate(self.links):
+                if (useful >> link_idx & 1 and not r.origins >> u & 1
+                        and not r.origins >> v & 1 and u not in dests):
+                    want |= 1 << link_idx
+            if r.avail != want:
+                raise AssertionError(f"round {r.rid}: avail {r.avail:b} != {want:b}")
         for link_idx in range(self.nlinks):
             if self.busy[link_idx] is not None or self.link_rate[link_idx] <= 0:
                 continue
@@ -741,8 +790,6 @@ class WirelineSimulator:
                     f"idle link {self.links[link_idx]} has useful idle rounds"
                 )
             for r in self.active.values():
-                if r.useful is not self._useful(r.fp):
-                    raise AssertionError(f"round {r.rid}: useful links out of date")
                 if self._round_eligible(r, link_idx):
                     raise AssertionError(
                         f"idle link {self.links[link_idx]} has a useful active round"
