@@ -22,23 +22,37 @@ A class enters every index it belongs to when it is created and leaves
 them when it empties, so each index lists its classes in the order of
 the class table: a draw on a freed link sums and walks only that link's
 index, and picks exactly the packet a scan over every class would.
-After an event only the changed round's useful links are revisited.
+
+Every round carries one link bitmask, ``avail``: the links it may start a
+transfer on right now.  It is rebuilt when the round changes (a transfer
+starts or lands), never when a link draws, and it is the single
+eligibility rule: the draw keeps an active round when its ``avail`` has
+the link's bit, and after an event the changed round starts transfers on
+``avail`` minus the busy links, in ascending link order.  An idle round's
+``avail`` is the useful set of its footprint.
 
 Concurrent transfers of one round need care the per-transmission rules
 don't provide on their own:
 
+* a round in flight is judged against its footprint *after* its in-flight
+  departures: ``avail`` is the useful set of the footprint minus the
+  sending nodes.  Judged against the whole footprint, two transfers that
+  are each safe can together strand a node: a sensor whose only
+  footprint out-neighbors are x and y pins neither, so x and y may send
+  at once, and once both have left it holds a packet with no way on;
 * a transfer delivers the sender's payload as of completion time, so a
   merge that lands at the sender mid-flight rides along instead of being
   dropped;
 * a round is never transmitted *to* a node that is currently forwarding
-  it, and a node awaiting an in-flight merge of a round holds that
-  round's packet until the merge lands.  Without these holds the receiver
-  can leave the footprint before the transfer completes; patching that by
-  re-adding the receiver costs an extra hop per occurrence (measured at
-  tens of percent on dense graphs at high load), which pushes the
-  effective load past the cut bound and destroys stability strictly below
-  it.  The ``reestablished`` metric counts the patched case and stays at
-  zero under the holds.
+  it (such a node is outside the post-departure footprint), and a node
+  awaiting an in-flight merge of a round holds that round's packet until
+  the merge lands (``avail`` drops its out-links).  Without these holds
+  the receiver can leave the footprint before the transfer completes;
+  patching that by re-adding the receiver costs an extra hop per
+  occurrence (measured at tens of percent on dense graphs at high load),
+  which pushes the effective load past the cut bound and destroys
+  stability strictly below it.  The ``reestablished`` metric counts the
+  patched case and stays at zero under the holds.
 
 The aggregator never transmits and is exempt from the non-isolation
 check; on acyclic graphs (where it is a sink) this changes nothing.  On
@@ -242,7 +256,7 @@ class _Memo(dict):
 
 
 class _Round:
-    __slots__ = ("rid", "fp", "avail", "origins", "edges", "held", "payloads",
+    __slots__ = ("rid", "fp", "avail", "origins", "edges", "waiting", "payloads",
                  "sensed", "t_arrive", "contrib")
 
     def __init__(self, rid, fp, avail, payloads, sensed, t_arrive):
@@ -251,7 +265,7 @@ class _Round:
         self.avail = avail      # link bitmask: where a transfer may start now
         self.origins = 0        # node bitmask: nodes transmitting this round
         self.edges = 0          # link bitmask: links carrying this round
-        self.held = 0           # link bitmask: out-links of nodes awaiting a merge
+        self.waiting = 0        # link bitmask: out-links of nodes awaiting a merge
         self.payloads = payloads
         self.sensed = sensed
         self.t_arrive = t_arrive
@@ -329,15 +343,12 @@ class WirelineSimulator:
         self._seq = 0
         self._heap = []
         # Per node, as bitmasks over link indices: its live (rate > 0)
-        # out-links, all its in-links, and every link it is an end of.
+        # out-links, and all its in-links.
         self._out_links = [0] * n
         self._in_links = [0] * n
-        self._touch_links = [0] * n
         for link_idx, (u, v) in enumerate(self.links):
             bit = 1 << link_idx
             self._in_links[v] |= bit
-            self._touch_links[u] |= bit
-            self._touch_links[v] |= bit
             if self.link_rate[link_idx] > 0:
                 self._out_links[u] |= bit
         self._useful_memo = _Memo(self._useful_links)  # fp -> _useful(fp)
@@ -412,27 +423,12 @@ class WirelineSimulator:
             rest ^= lsb
         return tuple(links), mask
 
-    def _refresh_avail(self, r):
-        """Set the links round `r` may start a transfer on right now.
-
-        These are the useful links of its footprint, minus every link with
-        an end at a node sending the round and every out-link of a node
-        awaiting an in-flight merge of it (the commitment holds).
-        """
-        avail = self._useful_memo[r.fp][1] & ~r.held
-        touch = self._touch_links
-        m = r.origins
-        while m:
-            lsb = m & -m
-            avail &= ~touch[lsb.bit_length() - 1]
-            m ^= lsb
-        r.avail = avail
-
     def is_useful(self, rid, link) -> bool:
         """Whether round `rid` has a useful packet across the (idle) link.
 
         Covers the aggregation and non-isolation conditions; for rounds with
-        in-flight transfers it also honors the commitment holds (one
+        in-flight transfers it judges them against the footprint left once
+        those transfers land and also honors the commitment holds (one
         outgoing transfer per node, no transfer toward a forwarding node, no
         forwarding while awaiting a merge).
         """
@@ -523,13 +519,12 @@ class WirelineSimulator:
     def _start(self, link_idx, r):
         """Start a transfer of round `r`, which must be eligible, on the link."""
         bit = 1 << link_idx
-        u, v, ub, _vb = self._link_ends[link_idx]
+        _u, v, ub, _vb = self._link_ends[link_idx]
         self.active[r.rid] = r
-        r.origins |= ub
+        origins = r.origins = r.origins | ub
         r.edges |= bit
-        held = self._out_links[v]
-        r.held |= held
-        r.avail &= ~(self._touch_links[u] | held)
+        waiting = r.waiting = r.waiting | self._out_links[v]
+        r.avail = self._useful_memo[r.fp & ~origins][1] & ~waiting
         self.busy[link_idx] = r
         self.busy_mask |= bit
         self._seq += 1
@@ -607,9 +602,9 @@ class WirelineSimulator:
         u, v, ub, vb = self._link_ends[link_idx]
 
         edges = r.edges = r.edges ^ bit
-        r.origins ^= ub
+        origins = r.origins = r.origins ^ ub
         if not edges & self._in_links[v]:
-            r.held &= ~self._out_links[v]
+            r.waiting &= ~self._out_links[v]
         payloads = r.payloads
         payload = payloads.pop(u)
         fp = r.fp = r.fp & ~ub
@@ -639,18 +634,16 @@ class WirelineSimulator:
         if fp == self.a_bit:
             self._finish_round(r)
             return None
+        r.avail = self._useful_memo[fp & ~origins][1] & ~r.waiting
         if edges:
-            self._refresh_avail(r)
             return r
-        r.avail = self._useful_memo[fp][1]
         del self.active[r.rid]
         return r  # floating; caller reinserts after the activity pass
 
     def _finish_round(self, r):
         f = self.func
         got = f.finalize(r.payloads[self.a])
-        sensed = r.sensed
-        expected = f.direct([sensed[i] for i in self._sensors])
+        expected = f.direct([r.sensed[i] for i in self._sensors])
         if got != expected:
             raise OracleMismatch(r.rid, got, expected)
         if self.debug and r.contrib[self.a] != self._sensor_set:
@@ -771,8 +764,9 @@ class WirelineSimulator:
         if busy_mask != self.busy_mask:
             raise AssertionError("busy mask drifted from busy links")
         for r in self.active.values():
-            # The eligibility rule, link by link.
-            useful = self._useful(r.fp)[1]
+            # The eligibility rule, link by link, on the footprint the
+            # round keeps once its in-flight transfers have left.
+            useful = self._useful(r.fp & ~r.origins)[1]
             want = 0
             dests = {v for link_idx, (_u, v) in enumerate(self.links)
                      if r.edges >> link_idx & 1}
