@@ -353,7 +353,7 @@ class WirelineSimulator:
                 self._out_links[u] |= bit
         self._useful_memo = _Memo(self._useful_links)  # fp -> _useful(fp)
         self._idle_by_link = [dict() for _ in range(self.nlinks)]  # fp -> rounds
-        self._valid_memo = _Memo(partial(footprint_is_valid, g))
+        self._valid_memo = _Memo(partial(footprint_is_valid, g))  # fp -> bool
         self._sensors = g.sensors
         self._sensor_set = set(self._sensors)
         # Sensor sampling: one bit-draw per value when the alphabet allows.
@@ -363,9 +363,6 @@ class WirelineSimulator:
         self.metrics = WirelineMetrics(lam=lam, seed=seed, horizon=0.0)
 
     # -- usefulness ---------------------------------------------------------
-
-    def _footprint_valid(self, mask):
-        return self._valid_memo[mask]
 
     def _useful(self, fp):
         """Links an idle round with footprint `fp` has a useful packet on.
@@ -408,7 +405,7 @@ class WirelineSimulator:
             m = fp & ~pinned & ~self.a_bit
             while m:
                 lsb = m & -m
-                if not self._footprint_valid(fp & ~lsb):
+                if not self._valid_memo[fp & ~lsb]:
                     barred |= lsb
                 m ^= lsb
         while barred:
@@ -624,7 +621,7 @@ class WirelineSimulator:
                     f"round {r.rid}: sources {into & moved} folded twice at node {v}"
                 )
             into.update(moved)
-            if not self._footprint_valid(fp):
+            if not self._valid_memo[fp]:
                 raise AssertionError(
                     f"round {r.rid}: footprint {fp:b} invalid after ({u},{v})"
                 )
@@ -672,7 +669,6 @@ class WirelineSimulator:
         heap = self._heap
         random = self.rng.random
         lam = self.lam
-        idle = self.idle
         activity_pass = self._activity_pass
         debug = self.debug
         self._seq += 1
@@ -703,11 +699,7 @@ class WirelineSimulator:
                 r = self.complete_transfer(link_idx)
                 activity_pass(r, link_idx)
             if r is not None and not r.edges:
-                rounds = idle.get(r.fp)
-                if rounds is None:
-                    self._park(r)
-                else:
-                    rounds.append(r)
+                self._park(r)
 
             if debug:
                 self._assert_activity_condition()
