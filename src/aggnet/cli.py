@@ -6,7 +6,7 @@ import sys
 
 import click
 
-from . import flows, fmux, harness
+from . import checks, flows, fmux, harness
 from .errors import AggNetError
 from .graph import load_graph
 
@@ -196,18 +196,17 @@ def sweep_cmd(config_path, graph_path, model, policy, lambdas, seeds, horizon,
 
 
 @main.command(name="verify")
-@click.option("--suite", default="all",
-              type=click.Choice(["flows", "fmux", "wireline", "wireless", "all"]))
+@click.option("--suite", default="all", type=click.Choice([*checks.SUITES, "all"]))
 @click.option("--output", "-o", type=click.Path(), default=None)
 def verify_cmd(suite, output):
-    """Run the invariant batteries; exit nonzero on any failure."""
-    report = harness.verify(suite)
+    """Run the invariant and proof checks; exit nonzero on any failure."""
+    report = checks.verify(suite)
     text = json.dumps(report, indent=2) + "\n"
     if output:
         with open(output, "w") as fh:
             fh.write(text)
-    for name, checks in report["suites"].items():
-        for c in checks:
+    for name, results in report["suites"].items():
+        for c in results:
             mark = "PASS" if c["passed"] else "FAIL"
             click.echo(f"[{mark}] {name}.{c['name']}: {c['detail']}")
     if not report["passed"]:

@@ -81,13 +81,6 @@ class ScheduleSet:
     def __len__(self):
         return len(self.schedules)
 
-    def __iter__(self):
-        return iter(self.schedules)
-
-    @property
-    def c_max(self) -> float:
-        return max((r for s in self.schedules for r in s.rates.values()), default=0.0)
-
     def validate_links(self, g: NetworkGraph):
         for s in self.schedules:
             for l in s.links:
@@ -144,13 +137,6 @@ class SSSRule:
             raise BadParams("SSS weights must be nonnegative")
         if abs(total - 1.0) > 1e-9:
             raise BadParams(f"SSS weights sum to {total}, expected 1")
-
-    def induced_rates(self, ss: ScheduleSet) -> RateVector:
-        rates = {}
-        for idx, w in self.weights.items():
-            for l, r in ss.schedules[idx].rates.items():
-                rates[l] = rates.get(l, 0.0) + w * r
-        return rates
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +240,6 @@ class AggregationTree:
     def tree_links(self) -> tuple[Link, ...]:
         return tuple((i, p) for i, p in self.parent)
 
-    def children_map(self, g: NetworkGraph) -> dict:
-        children = {i: [] for i in range(g.n)}
-        for i, p in self.parent:
-            children[p].append(i)
-        return children
-
     def validate(self, g: NetworkGraph):
         pm = self.parent_map
         if len(self.parent) != len(pm) or sorted(pm) != g.sensors:
@@ -350,8 +330,11 @@ class TreePacking:
         return sum(self.weights)
 
     def link_load(self) -> dict:
+        """Total weight per link, over the trees that carry weight."""
         load = {}
         for tree, w in zip(self.trees, self.weights):
+            if w <= 0:
+                continue
             for l in tree.tree_links:
                 load[l] = load.get(l, 0.0) + w
         return load
@@ -560,18 +543,11 @@ def optimal_sss(g: NetworkGraph, schedule_set: ScheduleSet):
     return rule, induced, lam
 
 
-def max_refresh_rate(delta_star_bits: float, f=None, log2_range: float = None) -> float:
+def max_refresh_rate(delta_star_bits: float, f) -> float:
     """Convert a bits-per-time-unit bottleneck into rounds per time unit.
 
-    Divides by log2 of the function's output range size; `log2_range` may be
-    given explicitly to override the function's own accounting.
+    Divides by log2 of the function's output range size.
     """
-    if log2_range is None:
-        if f is None:
-            raise BadParams("need a function or an explicit log2_range")
-        if f.range_size < 2:
-            raise BadParams("function range must have at least two values")
-        log2_range = f.log2_range
-    if log2_range <= 0:
-        raise BadParams("log2_range must be positive")
-    return delta_star_bits / log2_range
+    if f.range_size < 2:
+        raise BadParams("function range must have at least two values")
+    return delta_star_bits / f.log2_range

@@ -1,4 +1,4 @@
-"""Experiment orchestration: sweeps, stability verdicts, verification batteries.
+"""Experiment orchestration: sweeps, stability verdicts, CSV output.
 
 A simulation run produces a backlog time series; the detector turns it
 into a stable / unstable / inconclusive verdict from the least-squares
@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import flows, fmux, graph as graphmod, wireless, wireline
-from .errors import AggNetError, BadParams, SeriesTooShort
+from .errors import BadParams, SeriesTooShort
 
 POLICIES = ("greedy-maxweight", "static-sss", "single-tree", "fixed-split")
 
@@ -343,7 +343,7 @@ def write_wireless_csv(metrics: wireless.WirelessMetrics, path):
 
 
 # ---------------------------------------------------------------------------
-# Verification batteries
+# Random instances
 # ---------------------------------------------------------------------------
 
 def random_digraph(seed: int, n_max: int = 7):
@@ -377,148 +377,3 @@ def random_digraph(seed: int, n_max: int = 7):
         links.add((u, 0))
         caps[(u, 0)] = float(rng.randint(1, 4))
     return graphmod.build_graph(n, 0, sorted(links), caps)
-
-
-def _check(name, fn):
-    try:
-        detail = fn()
-        return {"name": name, "passed": True, "detail": detail or "ok"}
-    except AssertionError as exc:
-        return {"name": name, "passed": False, "detail": str(exc)}
-    except AggNetError as exc:
-        return {"name": name, "passed": False, "detail": f"{type(exc).__name__}: {exc}"}
-
-
-def _verify_flows():
-    checks = []
-
-    def edmonds():
-        worst = 0.0
-        for seed in range(50):
-            g = random_digraph(seed)
-            cut, _ = flows.min_mincut(g, g.capacity)
-            trees = flows.enumerate_aggregation_trees(g)
-            packing = flows.tree_packing_lp(g, g.capacity, trees)
-            worst = max(worst, abs(packing.total - cut))
-            assert abs(packing.total - cut) <= 1e-6, \
-                f"packing {packing.total} != min-mincut {cut} (seed {seed})"
-            assert packing.max_violation(g) <= 1e-9
-        return f"50 digraphs, max |gap| {worst:.2e}"
-
-    def duality():
-        from itertools import combinations
-        for seed in range(5):
-            g = random_digraph(seed + 100, n_max=5)
-            for s in g.sensors:
-                value, _ = flows.max_flow(g, g.capacity, s, g.aggregator)
-                rest = [v for v in range(g.n) if v not in (s, g.aggregator)]
-                best = min(
-                    sum(c for (u, v), c in g.capacity.items()
-                        if u in part and v not in part)
-                    for k in range(len(rest) + 1)
-                    for extra in combinations(rest, k)
-                    for part in [{s, *extra}]
-                )
-                assert abs(value - best) <= 1e-9, f"flow {value} != cut {best}"
-        return "flow equals enumerated min cut on 5 digraphs"
-
-    checks.append(_check("edmonds_equality", edmonds))
-    checks.append(_check("maxflow_mincut_duality", duality))
-    return checks
-
-
-def _verify_fmux():
-    checks = []
-
-    def properties():
-        rng = random.Random(7)
-        funcs = [fmux.make_parity(), fmux.make_max(16), fmux.make_kth(2, 8)]
-        for f in funcs:
-            for _ in range(200):
-                values = [rng.randrange(f.alphabet_size) for _ in range(rng.randint(1, 8))]
-                p1 = fmux.lift_and_combine(f, values)
-                shuffled = values[:]
-                rng.shuffle(shuffled)
-                assert fmux.lift_and_combine(f, shuffled) == p1, f.name
-                assert len(f.encode_payload(p1)) == len(f.encode_payload(f.lift(values[0])))
-            for _ in range(200):
-                n = rng.randint(2, 8)
-                values = [rng.randrange(f.alphabet_size) for _ in range(n)]
-                if f.k and n < f.k:
-                    continue
-                idx = list(range(n))
-                rng.shuffle(idx)
-                cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)) or [])
-                parts, prev = [], 0
-                for c in cuts + [n]:
-                    parts.append(idx[prev:c])
-                    prev = c
-                parts = [p for p in parts if p]
-                assert fmux.check_divisible(f, parts, values), f.name
-        return "permutation + divisibility checks on 3 functions"
-
-    checks.append(_check("fmux_properties", properties))
-    return checks
-
-
-def _verify_wireline():
-    checks = []
-
-    def triangle_invariants():
-        g = graphmod.build_graph(3, 0, [(1, 0), (2, 0), (2, 1)], 1.0)
-        sim = wireline.WirelineSimulator(g, 0.8, fmux.make_parity(), seed=1, debug=True)
-        m = sim.run(16_000.0)
-        assert m.completed >= 10_000, f"only {m.completed} rounds"
-        return f"{m.events} events, {m.completed} rounds, assert-clean"
-
-    def counting_lemma():
-        g = graphmod.build_graph(3, 0, [(1, 0), (2, 0), (2, 1)], 1.0)
-        masks = wireline.valid_footprint_masks(g)
-        rng = random.Random(3)
-        for alpha in (0.1, 1.0, 10.0):
-            for _ in range(200):
-                x = {m: rng.random() for m in masks}
-                assert wireline.verify_counting_lemma(g, x, alpha)
-        return "600 random counter vectors"
-
-    checks.append(_check("triangle_invariants", triangle_invariants))
-    checks.append(_check("counting_lemma", counting_lemma))
-    return checks
-
-
-def _verify_wireless():
-    checks = []
-
-    def shared_channel():
-        g = graphmod.build_graph(3, 0, [(1, 0), (2, 0), (2, 1)], 1.0)
-        ss = flows.ScheduleSet(tuple(
-            flows.Schedule((l,), {l: 1.0}) for l in g.links
-        ))
-        trees = flows.enumerate_aggregation_trees(g)
-        m = wireless.run(g, ss, trees, fmux.make_max(16), lam=0.4, seed=5,
-                         horizon=5000, debug=True)
-        assert m.completed >= 1000
-        return f"{m.completed} rounds, Type-AT and flow conservation clean"
-
-    checks.append(_check("shared_channel_invariants", shared_channel))
-    return checks
-
-
-def verify(suite: str = "all") -> dict:
-    """Run the invariant batteries; report is machine readable."""
-    suites = {
-        "flows": _verify_flows,
-        "fmux": _verify_fmux,
-        "wireline": _verify_wireline,
-        "wireless": _verify_wireless,
-    }
-    if suite != "all" and suite not in suites:
-        raise BadParams(f"unknown suite {suite!r}")
-    selected = suites if suite == "all" else {suite: suites[suite]}
-    report = {"suites": {}, "passed": True}
-    for name, fn in selected.items():
-        checks = fn()
-        report["suites"][name] = checks
-        if any(not c["passed"] for c in checks):
-            report["passed"] = False
-    return report

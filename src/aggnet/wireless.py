@@ -38,7 +38,6 @@ round a heap ordered by id would pop.
 """
 from __future__ import annotations
 
-import logging
 import math
 from bisect import bisect_right
 from collections import deque
@@ -47,11 +46,9 @@ from operator import itemgetter
 from random import Random
 
 from .errors import BadParams, MultiTreeConfig, OracleMismatch
-from .flows import Schedule, ScheduleSet, SSSRule
+from .flows import ScheduleSet, SSSRule
 from .fmux import FmuxFunction
 from .graph import NetworkGraph
-
-log = logging.getLogger(__name__)
 
 ROUTINGS = ("greedy", "fixed_split", "single_tree")
 SCHEDULINGS = ("maxweight", "static_sss")
@@ -76,14 +73,6 @@ class ArrivalProcess:
             raise BadParams("bernoulli_batch requires lam <= batch")
         if self.law not in ("poisson", "bernoulli_batch", "deterministic"):
             raise BadParams(f"unknown arrival law {self.law!r}")
-
-    @property
-    def second_moment(self) -> float:
-        if self.law == "poisson":
-            return self.lam + self.lam ** 2
-        if self.law == "bernoulli_batch":
-            return self.batch * self.lam
-        return float(math.ceil(self.lam)) ** 2  # deterministic upper bound
 
 
 def _draw_poisson(rng: Random, lam: float) -> int:
@@ -149,34 +138,13 @@ class TreeIndex:
         return len(self.trees)
 
 
-def packetize_schedule_set(ss: ScheduleSet, log2_range: float) -> ScheduleSet:
-    """Convert bits-per-slot schedule rates into whole packets per slot.
-
-    Rates are divided by the per-packet bit size and floored; any flooring
-    is logged since it shrinks the rate region.
-    """
-    if log2_range <= 0:
-        raise BadParams("log2_range must be positive")
-    schedules = []
-    for s in ss.schedules:
-        rates = {}
-        for l, r in s.rates.items():
-            packets = r / log2_range
-            floored = math.floor(packets + 1e-12)
-            if packets - floored > 1e-9:
-                log.info("flooring rate on link %s: %.6g packets -> %d", l, packets, floored)
-            rates[l] = float(floored)
-        schedules.append(Schedule(s.links, rates))
-    return ScheduleSet(tuple(schedules))
-
-
 def _integral_rates(ss: ScheduleSet):
     for s in ss.schedules:
         for l, r in s.rates.items():
             if abs(r - round(r)) > 1e-9:
                 raise BadParams(
-                    f"schedule rate {r} on link {l} is not a whole number of packets; "
-                    "run packetize_schedule_set first"
+                    f"schedule rate {r} on link {l} is not a whole number of packets "
+                    "per slot"
                 )
 
 
@@ -345,7 +313,7 @@ class WirelessSimulator:
             )
         self.g = g
         self.schedule_set = schedule_set
-        self.tix = trees if isinstance(trees, TreeIndex) else TreeIndex(g, trees)
+        self.tix = TreeIndex(g, trees)
         if routing == "single_tree" and len(self.tix) != 1:
             raise MultiTreeConfig(f"single_tree requires exactly one tree, got {len(self.tix)}")
         self.func = func

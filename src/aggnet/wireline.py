@@ -64,7 +64,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import partial
 from heapq import heappop, heappush
 from itertools import repeat
@@ -79,15 +78,12 @@ __all__ = [
     "WirelineSimulator",
     "WirelineMetrics",
     "run",
-    "valid_footprint_masks",
     "footprint_is_valid",
-    "verify_counting_lemma",
-    "fluid_lyapunov",
 ]
 
 
 # ---------------------------------------------------------------------------
-# Footprint-set combinatorics
+# Footprint validity
 # ---------------------------------------------------------------------------
 
 def footprint_is_valid(g: NetworkGraph, mask: int) -> bool:
@@ -105,136 +101,6 @@ def footprint_is_valid(g: NetworkGraph, mask: int) -> bool:
                 reached |= b
                 frontier.append(u)
     return reached == mask
-
-
-def valid_footprint_masks(g: NetworkGraph) -> list[int]:
-    """All valid footprint sets as bitmasks (graphs up to 12 nodes)."""
-    if g.n > 12:
-        raise BadParams("footprint-set enumeration is limited to 12 nodes")
-    return [m for m in range(1 << g.n) if footprint_is_valid(g, m)]
-
-
-def _mask_of(g: NetworkGraph, nodes) -> int:
-    if isinstance(nodes, int):
-        return nodes
-    m = 0
-    for v in nodes:
-        m |= 1 << v
-    return m
-
-
-def verify_counting_lemma(g: NetworkGraph, x, alpha: float, _betas=None) -> bool:
-    """Check the footprint-counter inequalities used by the drift argument.
-
-    `x` maps valid footprint sets (frozensets or masks) to nonnegative
-    reals.  With beta_i = (1 + 1/alpha)^(i-1) the two implications hold for
-    every nonnegative x; `_betas` lets tests corrupt the sequence to show
-    the choice matters.
-
-    For a set S, x_out(S) sums x over footprints not contained in S.  The
-    first implication compares x_out(S) with the mass entering S through a
-    single outside node u (all classes T+u with T inside S); the second
-    bounds any single outside class against the total useful mass across an
-    edge.  Checks run in floats; a failure within float noise of the
-    threshold is re-decided exactly with rationals.
-    """
-    if alpha <= 0:
-        raise BadParams("alpha must be positive")
-    violations = _counting_lemma_violations(g, x, float(alpha), _betas)
-    if not violations:
-        return True
-    # Near-tie failures get an exact recheck before we call them real.
-    exact = _counting_lemma_violations(g, x, Fraction(alpha), _betas, exact=True)
-    return not exact
-
-
-def _counting_lemma_violations(g, x, alpha, _betas, exact=False):
-    masks = valid_footprint_masks(g)
-    mask_set = set(masks)
-    num = Fraction if exact else float
-    xm = {m: num(0) for m in masks}
-    for key, value in x.items():
-        m = _mask_of(g, key)
-        if m not in mask_set:
-            raise BadParams(f"{key} is not a valid footprint set")
-        if value < 0:
-            raise BadParams("counter values must be nonnegative")
-        xm[m] = num(value)
-
-    if _betas is None:
-        ratio = 1 + 1 / alpha
-        betas = {i: ratio ** (i - 1) for i in range(1, g.n + 1)}
-    else:
-        betas = {i: num(b) for i, b in enumerate(_betas, start=1)}
-    inv = 1 / (1 + alpha)
-
-    size = {m: m.bit_count() for m in masks}
-    x_out = {s: sum(xm[m] for m in masks if m & ~s) for s in masks}
-
-    def out_of(s):
-        got = x_out.get(s)
-        if got is None:
-            got = sum(xm[m] for m in masks if m & ~s)
-        return got
-
-    violations = []
-    # Implication 1: small entering mass through u forces the next level up.
-    for s in masks:
-        for u in range(g.n):
-            ub = 1 << u
-            if s & ub:
-                continue
-            entering = sum(xm[m] for m in masks if m & ub and not (m & ~ub) & ~s)
-            if entering < inv * x_out[s]:
-                su = s | ub
-                if not betas[size[s] + 1] * out_of(su) > betas[size[s]] * x_out[s]:
-                    violations.append(("enter", s, u))
-
-    # Implication 2: per edge (u,v) into S with enough useful mass, no single
-    # outside class may dominate without a larger set beating S.
-    for s in masks:
-        for (u, v) in g.links:
-            ub, vb = 1 << u, 1 << v
-            if not s & vb or s & ub:
-                continue
-            xp = sum(
-                xm[m | ub]
-                for m in masks
-                if m & vb and not m & ub and (m | ub) in mask_set
-            )
-            if xp < inv * x_out[s]:
-                continue
-            axp = alpha * xp
-            for sp in masks:
-                if not sp & ~s:  # sp contained in s
-                    continue
-                if not sp & vb or sp & ub:
-                    continue
-                if (sp | ub) in mask_set and xm[sp | ub] > axp:
-                    union = s | sp
-                    if not betas[size[union]] * out_of(union) > betas[size[s]] * x_out[s]:
-                        violations.append(("edge", s, (u, v), sp))
-    return violations
-
-
-def fluid_lyapunov(g: NetworkGraph, x, alpha: float) -> float:
-    """max over valid sets S of beta_|S| times the mass outside S."""
-    if alpha <= 0:
-        raise BadParams("alpha must be positive")
-    masks = valid_footprint_masks(g)
-    mask_set = set(masks)
-    xm = {m: 0.0 for m in masks}
-    for key, value in x.items():
-        m = _mask_of(g, key)
-        if m not in mask_set:
-            raise BadParams(f"{key} is not a valid footprint set")
-        xm[m] = float(value)
-    ratio = 1.0 + 1.0 / alpha
-    best = 0.0
-    for s in masks:
-        out = sum(xm[m] for m in masks if m & ~s)
-        best = max(best, ratio ** (s.bit_count() - 1) * out)
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +217,7 @@ class WirelineSimulator:
             self._in_links[v] |= bit
             if self.link_rate[link_idx] > 0:
                 self._out_links[u] |= bit
-        self._useful_memo = _Memo(self._useful_links)  # fp -> _useful(fp)
+        self._useful_memo = _Memo(self._useful_links)  # fp -> (links, mask)
         self._idle_by_link = [dict() for _ in range(self.nlinks)]  # fp -> rounds
         self._valid_memo = _Memo(partial(footprint_is_valid, g))  # fp -> bool
         self._sensors = g.sensors
@@ -364,16 +230,12 @@ class WirelineSimulator:
 
     # -- usefulness ---------------------------------------------------------
 
-    def _useful(self, fp):
+    def _useful_links(self, fp):
         """Links an idle round with footprint `fp` has a useful packet on.
 
         Returns the link indices in ascending order and the same set as a
-        bitmask over link indices, computed once per footprint.
-        """
-        return self._useful_memo[fp]
-
-    def _useful_links(self, fp):
-        """Compute `_useful(fp)` from node bitmasks.
+        bitmask over link indices, computed from node bitmasks; the
+        simulator reads it through `_useful_memo`, once per footprint.
 
         A sensor w of the footprint with fewer than two footprint
         out-neighbors pins them: sending from one would isolate w
@@ -420,32 +282,6 @@ class WirelineSimulator:
             rest ^= lsb
         return tuple(links), mask
 
-    def is_useful(self, rid, link) -> bool:
-        """Whether round `rid` has a useful packet across the (idle) link.
-
-        Covers the aggregation and non-isolation conditions; for rounds with
-        in-flight transfers it judges them against the footprint left once
-        those transfers land and also honors the commitment holds (one
-        outgoing transfer per node, no transfer toward a forwarding node, no
-        forwarding while awaiting a merge).
-        """
-        r = self._find(rid)
-        link_idx = self.links.index(tuple(link))
-        return self._round_eligible(r, link_idx)
-
-    def _round_eligible(self, r, link_idx):
-        return bool(r.avail >> link_idx & 1)
-
-    def _find(self, rid) -> _Round:
-        r = self.active.get(rid)
-        if r is not None:
-            return r
-        for rounds in self.idle.values():
-            for r in rounds:
-                if r.rid == rid:
-                    return r
-        raise KeyError(rid)
-
     # -- round creation -----------------------------------------------------
 
     def seed_round(self, values=None, footprint=None) -> int:
@@ -457,7 +293,7 @@ class WirelineSimulator:
             for node in footprint:
                 keep |= 1 << node
             r.fp = keep
-            r.avail = self._useful(keep)[1]
+            r.avail = self._useful_memo[keep][1]
             r.payloads = {i: p for i, p in r.payloads.items() if keep >> i & 1}
             if r.contrib is not None:
                 r.contrib = {i: s for i, s in r.contrib.items() if keep >> i & 1}
@@ -656,7 +492,7 @@ class WirelineSimulator:
     # -- event loop ---------------------------------------------------------
 
     def run(self, horizon: float, sample_every: float = None,
-            sample_footprint_classes: bool = False, max_events: int = None) -> WirelineMetrics:
+            sample_footprint_classes: bool = False) -> WirelineMetrics:
         if horizon <= 0:
             raise BadParams("horizon must be positive")
         if sample_every is None:
@@ -703,8 +539,6 @@ class WirelineSimulator:
 
             if debug:
                 self._assert_activity_condition()
-            if max_events is not None and events >= max_events:
-                break
 
         m.events = events
         while next_sample <= horizon:
@@ -736,7 +570,7 @@ class WirelineSimulator:
     def _assert_idle_index(self):
         """Each link's index holds its useful idle classes, in `idle` order."""
         for link_idx, classes in enumerate(self._idle_by_link):
-            useful = [fp for fp in self.idle if self._useful(fp)[1] >> link_idx & 1]
+            useful = [fp for fp in self.idle if self._useful_memo[fp][1] >> link_idx & 1]
             if list(classes) != useful or any(
                 classes[fp] is not self.idle[fp] for fp in useful
             ):
@@ -747,7 +581,7 @@ class WirelineSimulator:
     def _assert_activity_condition(self):
         self._assert_idle_index()
         for fp, rounds in self.idle.items():
-            if any(r.avail != self._useful(fp)[1] for r in rounds):
+            if any(r.avail != self._useful_memo[fp][1] for r in rounds):
                 raise AssertionError(f"idle class {fp:b}: avail differs from useful")
         busy_mask = 0
         for link_idx, r in enumerate(self.busy):
@@ -758,7 +592,7 @@ class WirelineSimulator:
         for r in self.active.values():
             # The eligibility rule, link by link, on the footprint the
             # round keeps once its in-flight transfers have left.
-            useful = self._useful(r.fp & ~r.origins)[1]
+            useful = self._useful_memo[r.fp & ~r.origins][1]
             want = 0
             dests = {v for link_idx, (_u, v) in enumerate(self.links)
                      if r.edges >> link_idx & 1}
@@ -776,7 +610,7 @@ class WirelineSimulator:
                     f"idle link {self.links[link_idx]} has useful idle rounds"
                 )
             for r in self.active.values():
-                if self._round_eligible(r, link_idx):
+                if r.avail >> link_idx & 1:
                     raise AssertionError(
                         f"idle link {self.links[link_idx]} has a useful active round"
                     )

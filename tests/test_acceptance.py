@@ -4,14 +4,13 @@ One test per criterion; each records a single pass/fail line with the
 measured runtime (echoed in the terminal summary, see conftest) and
 asserts the stated tolerances and budgets.
 """
-import random
 import time
 
 import pytest
 from scipy.stats import chisquare
 
-from aggnet import flows, fmux, graph, harness, wireless, wireline
-from aggnet.harness import ExperimentConfig, random_digraph
+from aggnet import checks, flows, fmux, graph, harness, wireless, wireline
+from aggnet.harness import ExperimentConfig
 
 PASS_LINES = []
 
@@ -41,18 +40,8 @@ def channel3():
 
 def test_criterion_1_edmonds_equality():
     t0 = time.monotonic()
-    worst = 0.0
-    for seed in range(50):
-        g = random_digraph(seed, n_max=7)
-        cut, _ = flows.min_mincut(g, g.capacity)
-        trees = flows.enumerate_aggregation_trees(g)
-        packing = flows.tree_packing_lp(g, g.capacity, trees)
-        gap = abs(packing.total - cut)
-        worst = max(worst, gap)
-        assert gap <= 1e-6, f"seed {seed}: packing {packing.total} vs cut {cut}"
-        assert packing.max_violation(g) <= 1e-9
-    report("criterion 1 (tree packing = min-mincut)",
-           f"50 digraphs N<=7, max |gap| = {worst:.2e}", t0, budget=30)
+    report("criterion 1 (tree packing = min-mincut)", checks.edmonds_equality(), t0,
+           budget=30)
 
 
 def test_criterion_2_k5_fixture(k5):
@@ -217,40 +206,16 @@ def test_criterion_7_oracle_zero_mismatches(channel3):
            budget=300)
 
 
-def test_criterion_8_wireline_invariants(k5):
+def test_criterion_8_wireline_invariants():
     t0 = time.monotonic()
-    tri = graph.build_graph(3, 0, [(1, 0), (2, 0), (2, 1)], 1.0)
-    m_tri = wireline.run(tri, 0.8, fmux.make_parity(), seed=31, horizon=4500.0,
-                         debug=True)
-    assert m_tri.events >= 10_000
-    m_k5 = wireline.run(k5, 3.0, fmux.make_parity(), seed=32, horizon=700.0,
-                        debug=True)
-    assert m_k5.events >= 10_000
-
-    rng = random.Random(33)
-    masks = wireline.valid_footprint_masks(tri)
-    checked = 0
-    for _ in range(10_000):
-        x = {m: rng.random() for m in masks}
-        for alpha in (0.1, 1.0, 10.0):
-            assert wireline.verify_counting_lemma(tri, x, alpha)
-            checked += 1
-    report("criterion 8 (footprint and counter invariants)",
-           f"{m_tri.events + m_k5.events} wireline events assert-clean; "
-           f"counting inequalities hold on {checked} vector/alpha cases", t0,
-           budget=300)
+    detail = f"{checks.wireline_invariants()}; {checks.counting_lemma()}"
+    report("criterion 8 (footprint and counter invariants)", detail, t0, budget=300)
 
 
-def test_criterion_9_wireless_invariants(channel3):
+def test_criterion_9_wireless_invariants():
     t0 = time.monotonic()
-    g3, ss = channel3
-    trees = flows.enumerate_aggregation_trees(g3)
-    m = wireless.run(g3, ss, trees, fmux.make_max(16), lam=0.45, seed=41,
-                     horizon=24_000, debug=True)
-    assert m.completed >= 10_000
     report("criterion 9 (aggregate-and-transmit invariants)",
-           f"{m.completed} wireless rounds with per-tree flow conservation "
-           "assert-clean", t0, budget=300)
+           checks.shared_channel_invariants(), t0, budget=300)
 
 
 def test_criterion_10_determinism(tmp_path, k5, channel3):

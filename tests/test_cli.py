@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from aggnet import flows
+from aggnet import checks, flows
 from aggnet.cli import main
 from aggnet.graph import save_graph
 
@@ -142,10 +142,24 @@ def test_sweep_flag_overrides(runner, triangle_file, tmp_path):
     assert set(summary["grid"][0]["verdicts"]) == {"7", "8"}
 
 
-def test_verify_command(runner):
-    result = runner.invoke(main, ["verify", "--suite", "fmux"])
+def test_verify_command(runner, tmp_path):
+    out = tmp_path / "verify.json"
+    result = runner.invoke(main, ["verify", "--suite", "fmux", "--output", str(out)])
     assert result.exit_code == 0, result.output
     assert "[PASS] fmux.fmux_properties" in result.output
+    doc = json.loads(out.read_text())
+    assert doc["passed"] is True
+    assert [c["name"] for c in doc["suites"]["fmux"]] == ["fmux_properties"]
+
+
+def test_verify_failure_exits_nonzero(runner, monkeypatch):
+    def fmux_properties():
+        raise AssertionError("forced failure")
+
+    monkeypatch.setitem(checks.SUITES, "fmux", (fmux_properties,))
+    result = runner.invoke(main, ["verify", "--suite", "fmux"])
+    assert result.exit_code == 1
+    assert "[FAIL] fmux.fmux_properties: forced failure" in result.output
 
 
 def test_package_error_is_one_line(runner, triangle_file):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from aggnet import flows, harness
+from aggnet import checks, flows, harness
 from aggnet.errors import BadParams, SeriesTooShort
 from aggnet.harness import DetectorParams, ExperimentConfig, detect_stability
 
@@ -249,11 +249,11 @@ def test_sweep_wireless_argmin_from_induced_rates():
 # ---------------------------------------------------------------------------
 
 def test_verify_single_suite():
-    report = harness.verify("fmux")
+    report = checks.verify("fmux")
     assert report["passed"]
     assert set(report["suites"]) == {"fmux"}
 
 
 def test_verify_unknown_suite():
     with pytest.raises(BadParams):
-        harness.verify("everything")
+        checks.verify("everything")

@@ -1,17 +1,25 @@
-import random
-
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from aggnet import flows, fmux, graph, harness, wireline
+from aggnet import checks, flows, fmux, graph, harness, wireline
 from aggnet.errors import BadParams
 from aggnet.wireline import WirelineSimulator
 
 
 def make_sim(g, lam=0.5, func=None, seed=0, debug=False):
     return WirelineSimulator(g, lam, func or fmux.make_parity(), seed, debug=debug)
+
+
+def link_bit(sim, link):
+    return 1 << sim.links.index(link)
+
+
+def idle_avail(sim, footprint):
+    """`avail` of the one idle round with this footprint: its useful links."""
+    (r,) = sim.idle[sum(1 << v for v in footprint)]
+    return r.avail
 
 
 # ---------------------------------------------------------------------------
@@ -21,27 +29,30 @@ def make_sim(g, lam=0.5, func=None, seed=0, debug=False):
 def test_useful_conditions_on_relay_net(relay_net):
     # One round whose packet at node 1 has already been forwarded on.
     sim = make_sim(relay_net)
-    rid = sim.seed_round(values={1: 0, 2: 1, 3: 1}, footprint=[0, 2, 3])
+    sim.seed_round(values={1: 0, 2: 1, 3: 1}, footprint=[0, 2, 3])
+    avail = idle_avail(sim, [0, 2, 3])
     # receiver 1 holds no packet of the round
-    assert not sim.is_useful(rid, (2, 1))
+    assert not avail & link_bit(sim, (2, 1))
     # sending 3 -> 0 would leave node 2 with no footprint out-neighbor
-    assert not sim.is_useful(rid, (3, 0))
+    assert not avail & link_bit(sim, (3, 0))
     # 2 -> 3 aggregates and isolates nobody
-    assert sim.is_useful(rid, (2, 3))
+    assert avail & link_bit(sim, (2, 3))
 
 
 def test_useful_needs_both_endpoints(triangle):
     sim = make_sim(triangle)
-    rid = sim.seed_round(footprint=[0, 2])
-    assert not sim.is_useful(rid, (2, 1))  # 1 holds nothing
-    assert sim.is_useful(rid, (2, 0))
+    sim.seed_round(footprint=[0, 2])
+    avail = idle_avail(sim, [0, 2])
+    assert not avail & link_bit(sim, (2, 1))  # 1 holds nothing
+    assert avail & link_bit(sim, (2, 0))
 
 
 def test_full_footprint_all_sender_links_useful(triangle):
     sim = make_sim(triangle)
-    rid = sim.seed_round()
+    sim.seed_round()
+    avail = idle_avail(sim, range(triangle.n))
     for link in triangle.links:
-        assert sim.is_useful(rid, link)
+        assert avail & link_bit(sim, link)
 
 
 @settings(max_examples=60, deadline=None)
@@ -61,7 +72,7 @@ def test_useful_links_match_per_link_rule(seed, dead):
     def holds(fp, node):
         return bool(fp >> node & 1)
 
-    for fp in wireline.valid_footprint_masks(g):
+    for fp in checks.valid_footprint_masks(g):
         want = [
             i for i, (u, v) in enumerate(g.links)
             if u != a and caps[(u, v)] > 0 and holds(fp, u) and holds(fp, v)
@@ -72,7 +83,7 @@ def test_useful_links_match_per_link_rule(seed, dead):
             )
             and wireline.footprint_is_valid(g, fp & ~(1 << u))
         ]
-        links, mask = sim._useful(fp)
+        links, mask = sim._useful_memo[fp]
         assert list(links) == want
         assert mask == sum(1 << i for i in want)
 
@@ -158,10 +169,11 @@ def test_commitment_holds_block_racing_transfers(triangle):
     sim = make_sim(triangle)
     rid = sim.seed_round()
     assert sim.select_packet((2, 1)) == rid
+    avail = sim.active[rid].avail
     # 1 is the destination of an in-flight merge: it must hold the round.
-    assert not sim.is_useful(rid, (1, 0))
+    assert not avail & link_bit(sim, (1, 0))
     # and nobody may transmit toward the origin node 2
-    assert not sim.is_useful(rid, (2, 0))
+    assert not avail & link_bit(sim, (2, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -340,93 +352,3 @@ def test_footprint_class_sampling(triangle):
     assert len(m.footprint_class_series) == len(m.times)
     full = (1 << 3) - 1
     assert any(full in counts for counts in m.footprint_class_series if counts)
-
-
-# ---------------------------------------------------------------------------
-# footprint sets, counting lemma, fluid diagnostic
-# ---------------------------------------------------------------------------
-
-def test_valid_footprint_masks_triangle(triangle):
-    masks = wireline.valid_footprint_masks(triangle)
-    assert set(masks) == {0b001, 0b011, 0b101, 0b111}
-
-
-def test_valid_footprint_masks_relay(relay_net):
-    masks = set(wireline.valid_footprint_masks(relay_net))
-    assert 0b0101 not in masks  # {0, 2}: node 2 has no exit inside the set
-    assert 0b1101 in masks      # {0, 2, 3}
-    assert 0b0001 in masks
-
-
-def test_counting_lemma_zero_vector(triangle):
-    masks = wireline.valid_footprint_masks(triangle)
-    assert wireline.verify_counting_lemma(triangle, {m: 0.0 for m in masks}, 1.0)
-
-
-def test_counting_lemma_random_vectors(triangle, diamond):
-    rng = random.Random(17)
-    for g in (triangle, diamond):
-        masks = wireline.valid_footprint_masks(g)
-        for alpha in (0.1, 1.0, 10.0):
-            for _ in range(300):
-                x = {m: rng.random() for m in masks}
-                assert wireline.verify_counting_lemma(g, x, alpha)
-
-
-def test_counting_lemma_accepts_frozenset_keys(triangle):
-    x = {frozenset({0, 1}): 1.0, frozenset({0}): 0.5}
-    assert wireline.verify_counting_lemma(triangle, x, 1.0)
-    with pytest.raises(BadParams):
-        wireline.verify_counting_lemma(triangle, {frozenset({1, 2}): 1.0}, 1.0)
-
-
-def test_counting_lemma_flat_betas_violated(triangle):
-    # The geometric growth of the level weights is necessary: a flat
-    # sequence admits counterexamples.
-    masks = wireline.valid_footprint_masks(triangle)
-    flat = [1.0] * triangle.n
-    rng = random.Random(23)
-    violated = False
-    for _ in range(200):
-        x = {m: rng.random() for m in masks}
-        if not wireline.verify_counting_lemma(triangle, x, 1.0, _betas=flat):
-            violated = True
-            break
-    assert violated
-
-
-def test_fluid_lyapunov_values(triangle):
-    masks = wireline.valid_footprint_masks(triangle)
-    zero = {m: 0.0 for m in masks}
-    assert wireline.fluid_lyapunov(triangle, zero, 1.0) == 0.0
-    # one round spanning all nodes: the maximand is beta_2 for the 2-sets
-    full = (1 << 3) - 1
-    single = dict(zero)
-    single[full] = 1.0
-    alpha = 1.0
-    expected = (1 + 1 / alpha) ** 1  # |S| = 2 maximizes beta among S != full
-    assert wireline.fluid_lyapunov(triangle, single, alpha) == pytest.approx(expected)
-
-
-def test_fluid_lyapunov_over_sampled_trajectory(triangle):
-    # The sampled footprint-class counters plug straight into the fluid
-    # diagnostic; under a stable load it stays bounded.
-    m = wireline.run(triangle, 0.8, fmux.make_parity(), seed=19, horizon=2000.0,
-                     sample_every=20.0, sample_footprint_classes=True)
-    values = [
-        wireline.fluid_lyapunov(triangle, counts, 1.0)
-        for counts in m.footprint_class_series
-    ]
-    assert values and max(values) < 500
-    assert any(v > 0 for v in values)
-
-
-def test_fluid_lyapunov_monotone(triangle):
-    masks = wireline.valid_footprint_masks(triangle)
-    rng = random.Random(5)
-    for _ in range(50):
-        x = {m: rng.random() for m in masks}
-        before = wireline.fluid_lyapunov(triangle, x, 0.5)
-        grow = dict(x)
-        grow[rng.choice(masks)] += 1.0
-        assert wireline.fluid_lyapunov(triangle, grow, 0.5) >= before
