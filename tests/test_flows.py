@@ -195,6 +195,16 @@ def test_packing_line_bottleneck():
     assert abs(packing.total - 1.0) <= 1e-6
 
 
+def test_packing_equals_min_mincut_on_random_digraphs():
+    for seed in range(20):
+        g = random_digraph(seed + 200)
+        cut, _ = flows.min_mincut(g, g.capacity)
+        trees = flows.enumerate_aggregation_trees(g)
+        packing = flows.tree_packing_lp(g, g.capacity, trees)
+        assert abs(packing.total - cut) <= 1e-6, f"seed {seed}"
+        assert packing.max_violation(g) <= 1e-9
+
+
 def test_example5_witness_packing(k5):
     trees = [
         flows.AggregationTree.from_parent_map(
