@@ -154,6 +154,51 @@ def fluid_lyapunov(g: NetworkGraph, x, alpha: float) -> float:
 # Check functions
 # ---------------------------------------------------------------------------
 
+def lift_and_combine(f: fmux.FmuxFunction, values) -> object:
+    """Fold combine over lifted values; order independent by construction."""
+    values = list(values)
+    if not values:
+        raise BadParams("need at least one value")
+    payload = f.lift(f.check_value(values[0]))
+    for x in values[1:]:
+        payload = f.combine(payload, f.lift(f.check_value(x)))
+    return payload
+
+
+def offline_evaluate(f: fmux.FmuxFunction, all_sensed) -> object:
+    """Ground-truth evaluation on the full sensed vector.
+
+    This goes through the function's direct whole-vector path, not through
+    combine, so it is the oracle that check_divisible compares against.
+    """
+    values = list(all_sensed)
+    for x in values:
+        f.check_value(x)
+    return f.direct(values)
+
+
+def check_divisible(f: fmux.FmuxFunction, partition, values) -> bool:
+    """True iff evaluating per part, combining, then finalizing matches the oracle.
+
+    `partition` is a list of index lists partitioning range(len(values)).
+    """
+    values = list(values)
+    idx = sorted(i for part in partition for i in part)
+    if idx != list(range(len(values))):
+        raise BadParams("partition does not cover the value indices exactly")
+    payload = None
+    for part in partition:
+        part_payload = lift_and_combine(f, [values[i] for i in part])
+        payload = part_payload if payload is None else f.combine(payload, part_payload)
+    return f.finalize(payload) == offline_evaluate(f, values)
+
+
+def _require(claim, detail):
+    """Fail the running check with `detail`; unlike assert, kept under python -O."""
+    if not claim:
+        raise AssertionError(detail)
+
+
 def _triangle():
     return graphmod.build_graph(3, 0, [(1, 0), (2, 0), (2, 1)], 1.0)
 
@@ -169,8 +214,9 @@ def edmonds_equality():
         packing = flows.tree_packing_lp(g, g.capacity, trees)
         gap = abs(packing.total - cut)
         worst = max(worst, gap)
-        assert gap <= 1e-6, f"seed {seed}: packing {packing.total} vs cut {cut}"
-        assert packing.max_violation(g) <= 1e-9
+        _require(gap <= 1e-6, f"seed {seed}: packing {packing.total} vs cut {cut}")
+        over = packing.max_violation(g)
+        _require(over <= 1e-9, f"seed {seed}: packing exceeds a capacity by {over}")
     return f"{len(seeds)} digraphs N<=7, max |gap| = {worst:.2e}"
 
 
@@ -193,10 +239,10 @@ def maxflow_mincut_duality():
         for s in g.sensors:
             value, cut = flows.max_flow(g, g.capacity, s, g.aggregator)
             best = enumerated_min_cut(g, g.capacity, s, g.aggregator)
-            assert value == best, f"flow {value} != cut {best}"
+            _require(value == best, f"flow {value} != cut {best}")
             cut_cap = sum(c for (u, v), c in g.capacity.items()
                           if u in cut and v not in cut)
-            assert abs(cut_cap - value) <= 1e-9, f"returned cut {cut_cap} != {value}"
+            _require(abs(cut_cap - value) <= 1e-9, f"returned cut {cut_cap} != {value}")
     return f"flow equals enumerated min cut on {len(graphs)} digraphs"
 
 
@@ -207,11 +253,12 @@ def fmux_properties():
     for f in funcs:
         for _ in range(200):
             values = [rng.randrange(f.alphabet_size) for _ in range(rng.randint(1, 8))]
-            p1 = fmux.lift_and_combine(f, values)
+            p1 = lift_and_combine(f, values)
             shuffled = values[:]
             rng.shuffle(shuffled)
-            assert fmux.lift_and_combine(f, shuffled) == p1, f.name
-            assert len(f.encode_payload(p1)) == len(f.encode_payload(f.lift(values[0])))
+            _require(lift_and_combine(f, shuffled) == p1, f.name)
+            _require(len(f.encode_payload(p1)) == len(f.encode_payload(f.lift(values[0]))),
+                     f"{f.name}: merged payload changed size")
         for _ in range(200):
             n = rng.randint(2, 8)
             values = [rng.randrange(f.alphabet_size) for _ in range(n)]
@@ -225,7 +272,7 @@ def fmux_properties():
                 parts.append(idx[prev:c])
                 prev = c
             parts = [p for p in parts if p]
-            assert fmux.check_divisible(f, parts, values), f.name
+            _require(check_divisible(f, parts, values), f.name)
     return "permutation + divisibility checks on 3 functions"
 
 
@@ -233,11 +280,11 @@ def wireline_invariants():
     """Debug wireline runs stay assert-clean on the triangle and on K5."""
     tri = wireline.run(_triangle(), 0.8, fmux.make_parity(), seed=1, horizon=16_000.0,
                        debug=True)
-    assert tri.completed >= 10_000, f"only {tri.completed} triangle rounds"
-    assert tri.events >= 10_000, f"only {tri.events} triangle events"
+    _require(tri.completed >= 10_000, f"only {tri.completed} triangle rounds")
+    _require(tri.events >= 10_000, f"only {tri.events} triangle events")
     k5 = graphmod.generate("complete", n=5, capacity=1.0)
     m_k5 = wireline.run(k5, 3.0, fmux.make_parity(), seed=32, horizon=700.0, debug=True)
-    assert m_k5.events >= 10_000, f"only {m_k5.events} K5 events"
+    _require(m_k5.events >= 10_000, f"only {m_k5.events} K5 events")
     return (f"{tri.events + m_k5.events} wireline events assert-clean "
             f"({tri.completed} triangle rounds)")
 
@@ -251,7 +298,7 @@ def counting_lemma():
     for _ in range(10_000):
         x = {m: rng.random() for m in masks}
         for alpha in (0.1, 1.0, 10.0):
-            assert verify_counting_lemma(tri, x, alpha), (x, alpha)
+            _require(verify_counting_lemma(tri, x, alpha), (x, alpha))
             checked += 1
     return f"counting inequalities hold on {checked} vector/alpha cases"
 
@@ -263,7 +310,7 @@ def shared_channel_invariants():
     trees = flows.enumerate_aggregation_trees(g)
     m = wireless.run(g, ss, trees, fmux.make_max(16), lam=0.45, seed=41,
                      horizon=24_000, debug=True)
-    assert m.completed >= 10_000, f"only {m.completed} rounds"
+    _require(m.completed >= 10_000, f"only {m.completed} rounds")
     return (f"{m.completed} wireless rounds with per-tree flow conservation "
             "assert-clean")
 

@@ -53,30 +53,22 @@ def analyze(graph_path, schedules_path, func_name, k, alphabet_size, trees_spec,
     """Bottleneck rate, optimal service split and an optimal tree packing."""
     g = load_graph(graph_path)
     func = fmux.function_from_config(_parse_function(func_name, k, alphabet_size))
-
-    if schedules_path:
-        schedule_set = flows.load_schedule_set(schedules_path)
-        rule, rates, delta_star = flows.optimal_sss(g, schedule_set)
-        sss = {str(k_): w for k_, w in sorted(rule.weights.items()) if w > 1e-12}
-        _, argmin_node = flows.min_mincut(g, rates)
-    else:
-        rates = dict(g.capacity)
-        delta_star, argmin_node = flows.min_mincut(g, rates)
-        sss = None
-
-    trees = flows.load_trees(g, trees_spec, tree_limit)
-    packing = flows.tree_packing_lp(g, rates, trees).nonzero()
+    schedule_set = flows.load_schedule_set(schedules_path) if schedules_path else None
+    analysis = flows.analyze(g, schedule_set, flows.load_trees(g, trees_spec, tree_limit))
+    packing = analysis.packing.nonzero()
     report = {
-        "delta_star": delta_star,
-        "lambda_star": flows.max_refresh_rate(delta_star, func),
-        "argmin_node": argmin_node,
+        "delta_star": analysis.delta_star,
+        "lambda_star": flows.max_refresh_rate(analysis.delta_star, func),
+        "argmin_node": analysis.argmin_node,
+        "cut": [list(l) for l in analysis.cut],
         "packing": [
             {"parents": {str(i): p for i, p in tree.parent_map.items()}, "weight": w}
             for tree, w in zip(packing.trees, packing.weights)
         ],
     }
-    if sss is not None:
-        report["sss_rule"] = sss
+    if analysis.sss_rule is not None:
+        report["sss_rule"] = {str(idx): w for idx, w in sorted(analysis.sss_rule.weights.items())
+                              if w > 1e-12}
     text = json.dumps(report, indent=2) + "\n"
     if output:
         with open(output, "w") as fh:

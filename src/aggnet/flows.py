@@ -6,7 +6,8 @@ to aggregator cut), enumeration of spanning aggregation trees (every
 non-aggregator node picks a parent and all parent chains end at the
 aggregator), the tree-packing linear program whose optimum equals the
 min-mincut, and the service-split LP that picks the best time-sharing
-over a wireless schedule set.
+over a wireless schedule set.  `analyze` chains them into one Analysis
+record: the bottleneck, its node and cut, the split and the packing.
 
 Enumeration assigns parents sensor by sensor; choosing parent p for
 sensor i closes a cycle exactly when the chain of parents already
@@ -541,6 +542,43 @@ def optimal_sss(g: NetworkGraph, schedule_set: ScheduleSet):
             {"lp_value": lam, "min_mincut": check},
         )
     return rule, induced, lam
+
+
+# ---------------------------------------------------------------------------
+# The analysis of one topology
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Analysis:
+    """Bottleneck, its node and cut, and the split and packing that reach it.
+
+    ``cut`` is the sorted links leaving the argmin node's side of its min
+    cut.  ``sss_rule`` is None when wired, ``packing`` None without trees.
+    """
+
+    delta_star: float
+    argmin_node: int
+    cut: tuple[Link, ...]
+    sss_rule: SSSRule | None
+    packing: TreePacking | None
+
+
+def analyze(g: NetworkGraph, schedule_set: ScheduleSet = None, trees=None) -> Analysis:
+    """The Analysis of one topology, all of it under one rate vector.
+
+    The rates are the wired capacities or, with a schedule set, those its
+    optimal split induces; delta_star is then the split LP's value.
+    """
+    if schedule_set is None:
+        rule, rates = None, g.capacity
+        delta_star, node = min_mincut(g, rates)
+    else:
+        rule, rates, delta_star = optimal_sss(g, schedule_set)
+        _, node = min_mincut(g, rates)
+    _, side = max_flow(g, rates, node, g.aggregator)
+    cut = tuple(sorted(l for l in g.links if l[0] in side and l[1] not in side))
+    packing = None if trees is None else tree_packing_lp(g, rates, trees)
+    return Analysis(delta_star, node, cut, rule, packing)
 
 
 def max_refresh_rate(delta_star_bits: float, f) -> float:

@@ -144,42 +144,3 @@ def function_from_config(cfg: dict) -> FmuxFunction:
         k=cfg.get("k"),
     )
 
-
-def lift_and_combine(f: FmuxFunction, values) -> object:
-    """Fold combine over lifted values; order independent by construction."""
-    values = list(values)
-    if not values:
-        raise BadParams("need at least one value")
-    payload = f.lift(f.check_value(values[0]))
-    for x in values[1:]:
-        payload = f.combine(payload, f.lift(f.check_value(x)))
-    return payload
-
-
-def offline_evaluate(f: FmuxFunction, all_sensed) -> object:
-    """Ground-truth evaluation on the full sensed vector.
-
-    This goes through the function's direct whole-vector path, not through
-    combine, so it can serve as the correctness oracle for every completed
-    round in the simulators.
-    """
-    values = list(all_sensed)
-    for x in values:
-        f.check_value(x)
-    return f.direct(values)
-
-
-def check_divisible(f: FmuxFunction, partition, values) -> bool:
-    """True iff evaluating per part, combining, then finalizing matches the oracle.
-
-    `partition` is a list of index lists partitioning range(len(values)).
-    """
-    values = list(values)
-    idx = sorted(i for part in partition for i in part)
-    if idx != list(range(len(values))):
-        raise BadParams("partition does not cover the value indices exactly")
-    payload = None
-    for part in partition:
-        part_payload = lift_and_combine(f, [values[i] for i in part])
-        payload = part_payload if payload is None else f.combine(payload, part_payload)
-    return f.finalize(payload) == offline_evaluate(f, values)

@@ -13,7 +13,8 @@ import json
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from . import flows, fmux, graph as graphmod, wireless, wireline
 from .errors import BadParams, SeriesTooShort
@@ -166,29 +167,25 @@ class ExperimentConfig:
     def load_trees(self, g):
         return flows.load_trees(g, self.trees, self.tree_limit)
 
+    @cached_property
+    def analysis(self) -> flows.Analysis:
+        """The analysis every point of a sweep reads; only static-sss packs."""
+        g = self.load_graph()
+        if self.model == "wireline":
+            return flows.analyze(g)
+        trees = self.load_trees(g) if self.policy == "static-sss" else None
+        return flows.analyze(g, self.load_schedules(g), trees)
+
 
 # ---------------------------------------------------------------------------
 # Single runs and sweeps
 # ---------------------------------------------------------------------------
 
-def _wireless_policy_setup(cfg: ExperimentConfig, g, schedule_set, trees):
-    """Resolve routing/scheduling plus any derived weights for the policy."""
-    if cfg.policy == "greedy-maxweight":
-        return dict(routing="greedy", scheduling="maxweight")
-    if cfg.policy == "single-tree":
-        return dict(routing="single_tree", scheduling="maxweight")
-    if cfg.policy == "fixed-split":
-        weights = cfg.split_weights or [1.0] * len(trees)
-        return dict(routing="fixed_split", scheduling="maxweight", split_weights=weights)
-    # static-sss: best service split from the LP, rounds split by the
-    # optimal packing of the induced rates.
-    rule, induced, _ = flows.optimal_sss(g, schedule_set)
-    packing = flows.tree_packing_lp(g, induced, trees)
-    weights = [max(w, 0.0) for w in packing.weights]
-    if sum(weights) <= 0:
-        raise BadParams("optimal packing is empty; cannot split rounds")
-    return dict(routing="fixed_split", scheduling="static_sss",
-                split_weights=weights, sss_rule=rule)
+# Wireless (routing, scheduling) of each policy.
+_WIRELESS = {"greedy-maxweight": ("greedy", "maxweight"),
+             "single-tree": ("single_tree", "maxweight"),
+             "fixed-split": ("fixed_split", "maxweight"),
+             "static-sss": ("fixed_split", "static_sss")}
 
 
 def run_point(cfg: ExperimentConfig, lam: float, seed: int):
@@ -204,16 +201,27 @@ def run_point(cfg: ExperimentConfig, lam: float, seed: int):
         series = metrics.in_flight
         times = metrics.times
     else:
-        schedule_set = cfg.load_schedules(g)
-        trees = cfg.load_trees(g)
-        setup = _wireless_policy_setup(cfg, g, schedule_set, trees)
-        sim = wireless.WirelessSimulator(
-            g, schedule_set, trees, func,
-            wireless.ArrivalProcess(cfg.arrival_law, lam), seed,
-            debug=cfg.debug, **setup,
+        rule = weights = None
+        if cfg.policy == "static-sss":
+            # Best service split from the LP, rounds split by the optimal
+            # packing of the induced rates.
+            rule, packing = cfg.analysis.sss_rule, cfg.analysis.packing
+            trees = packing.trees
+            weights = [max(w, 0.0) for w in packing.weights]
+            if sum(weights) <= 0:
+                raise BadParams("optimal packing is empty; cannot split rounds")
+        else:
+            trees = cfg.load_trees(g)
+            if cfg.policy == "fixed-split":
+                weights = cfg.split_weights or [1.0] * len(trees)
+        routing, scheduling = _WIRELESS[cfg.policy]
+        metrics = wireless.run(
+            g, cfg.load_schedules(g), trees, func, lam, seed, int(cfg.horizon),
+            routing=routing, scheduling=scheduling,
+            split_weights=weights, sss_rule=rule, arrival_law=cfg.arrival_law,
+            sample_every=int(cfg.sample_every) if cfg.sample_every else None,
+            debug=cfg.debug,
         )
-        metrics = sim.run(int(cfg.horizon), sample_every=(
-            int(cfg.sample_every) if cfg.sample_every else None))
         series = metrics.backlog_series
         times = metrics.slots
     verdict = detect_stability(times, series, lam, g.n, params, seed=seed)
@@ -231,7 +239,7 @@ class SweepResult:
     config: ExperimentConfig
     verdicts: dict                  # (lam, seed) -> StabilityVerdict
     lambda_hat: float
-    analytic: dict
+    analysis: flows.Analysis
     monotonic: bool
     csv_paths: dict = field(default_factory=dict)
 
@@ -253,30 +261,28 @@ class SweepResult:
             "lambda_hat": self.lambda_hat,
             "monotonic": self.monotonic,
             "definitive": len(self.config.seeds) >= 3,
-            **self.analytic,
+            "delta_star": self.analysis.delta_star,
+            "argmin_node": self.analysis.argmin_node,
+            # Both simulators move one fixed-size packet per round per transfer,
+            # at rates in packets per time unit, so the critical refresh rate in
+            # rounds is the bottleneck itself; max_refresh_rate is for bits.
+            "lambda_star": self.analysis.delta_star,
+            "cut": [list(l) for l in self.analysis.cut],
             "grid": grid,
         }
 
 
 def sweep(cfg: ExperimentConfig) -> SweepResult:
     """Run the full (lambda, seed) grid and aggregate stability verdicts."""
+    # Every point shares one copy of the inputs and of their analysis.
     g = cfg.load_graph()
     cfg.load_function()  # reject a bad function config before any run starts
-
-    analytic = {}
-    if cfg.model == "wireless":
-        # The bottleneck node is the one under the split's induced rates,
-        # as in `aggnet analyze`, not under the wired capacities.
-        _, induced, delta_star = flows.optimal_sss(g, cfg.load_schedules(g))
-        _, argmin_node = flows.min_mincut(g, induced)
+    if cfg.model == "wireline":
+        cfg = replace(cfg, graph=g)
     else:
-        delta_star, argmin_node = flows.min_mincut(g, g.capacity)
-    analytic["delta_star"] = delta_star
-    analytic["argmin_node"] = argmin_node
-    # Both simulators move one fixed-size packet per round per transfer, at
-    # rates in packets per time unit, so the critical refresh rate in rounds
-    # is the bottleneck itself; max_refresh_rate is for bit capacities.
-    analytic["lambda_star"] = delta_star
+        cfg = replace(cfg, graph=g, schedules=cfg.load_schedules(g),
+                      trees=cfg.load_trees(g))
+    analysis = cfg.analysis
 
     jobs = [(lam, seed) for lam in cfg.lambdas for seed in cfg.seeds]
     results = {}
@@ -304,7 +310,7 @@ def sweep(cfg: ExperimentConfig) -> SweepResult:
     ]
     monotonic = all(a >= b for a, b in zip(per_lam, per_lam[1:]))
 
-    result = SweepResult(cfg, verdicts, lambda_hat, analytic, monotonic)
+    result = SweepResult(cfg, verdicts, lambda_hat, analysis, monotonic)
     if cfg.output_dir:
         os.makedirs(cfg.output_dir, exist_ok=True)
         for (lam, seed), (_, metrics) in sorted(results.items()):

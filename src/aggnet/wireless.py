@@ -113,21 +113,19 @@ class TreeIndex:
         self.trees = trees
         self.tree_links = []
         self.trees_on_link = {}
-        for ti, tree in enumerate(trees):
-            links = tree.tree_links
-            self.tree_links.append(frozenset(links))
-            for l in links:
-                self.trees_on_link.setdefault(l, []).append(ti)
-        link_pos = {l: p for p, l in enumerate(self.trees_on_link)}
+        link_pos = {}  # in the key order of trees_on_link
         self.cell = []
         self.leaves = []
         self.pending_template = []
         for ti, tree in enumerate(trees):
+            self.tree_links.append(frozenset(tree.tree_links))
             children = [0] * g.n
             cells = [None] * g.n
-            for i, p in tree.parent_map.items():
+            for i, p in tree.parent:
                 children[p] += 1
-                cells[i] = (link_pos[(i, p)], self.trees_on_link[(i, p)].index(ti))
+                column = self.trees_on_link.setdefault((i, p), [])
+                cells[i] = (link_pos.setdefault((i, p), len(link_pos)), len(column))
+                column.append(ti)
             self.cell.append(cells)
             self.leaves.append([i for i in g.sensors if not children[i]])
             self.pending_template.append(

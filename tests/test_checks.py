@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -95,3 +98,26 @@ def test_fluid_lyapunov_monotone(triangle):
         grow[rng.choice(masks)] += 1.0
         assert checks.fluid_lyapunov(triangle, grow, 0.5) >= before
 
+
+# ---------------------------------------------------------------------------
+# verify under python -O
+# ---------------------------------------------------------------------------
+
+def test_verify_fails_under_optimize():
+    # -O strips assert statements; a check must still fail when its claim
+    # is false.  Here the min-mincut is off by one, so packing != cut.
+    script = (
+        "from aggnet import checks, flows\n"
+        "orig = flows.min_mincut\n"
+        "def off_by_one(g, caps):\n"
+        "    value, node = orig(g, caps)\n"
+        "    return value + 1, node\n"
+        "flows.min_mincut = off_by_one\n"
+        "print(checks.verify('flows')['passed'])\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"

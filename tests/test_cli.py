@@ -34,6 +34,7 @@ def test_analyze_wired(runner, triangle_file):
     assert doc["delta_star"] == 1.0
     assert doc["lambda_star"] == 1.0
     assert doc["argmin_node"] == 1
+    assert doc["cut"] == [[1, 0]]
     total = sum(entry["weight"] for entry in doc["packing"])
     assert abs(total - 1.0) <= 1e-6
 

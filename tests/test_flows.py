@@ -531,3 +531,30 @@ def test_load_trees_specs(tmp_path, triangle):
     keyless.write_text(json.dumps({"tree": [{"1": 0, "2": 0}]}))
     with pytest.raises(BadParams, match="tree file has no 'trees'"):
         flows.load_trees(triangle, str(keyless))
+
+
+# ---------------------------------------------------------------------------
+# analyze
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed, split", [*((s, False) for s in range(20)), (4, True)])
+def test_analysis_cut_separates_argmin_node(seed, split):
+    # The cut is exactly the boundary of a node set holding the argmin node
+    # and not the aggregator, and its capacity under the analysed rates is
+    # the bottleneck.
+    g = random_digraph(seed)
+    one_link = flows.ScheduleSet(tuple(flows.Schedule((l,), {l: 1.0}) for l in g.links))
+    a = flows.analyze(g, one_link if split else None)
+    rates = flows.optimal_sss(g, one_link)[1] if split else g.capacity
+    side, frontier = {a.argmin_node}, [a.argmin_node]
+    while frontier:
+        u = frontier.pop()
+        for v in g.out_neighbors[u]:
+            if (u, v) not in a.cut and v not in side:
+                side.add(v)
+                frontier.append(v)
+    assert g.aggregator not in side
+    assert all(u in side and v not in side for u, v in a.cut)
+    assert list(a.cut) == sorted(a.cut)
+    assert abs(sum(rates[l] for l in a.cut) - a.delta_star) <= 1e-6
+    assert a.packing is None and (a.sss_rule is None) != split

@@ -4,45 +4,46 @@ import random
 import pytest
 
 from aggnet import fmux
+from aggnet.checks import check_divisible, lift_and_combine, offline_evaluate
 from aggnet.errors import BadParams, ValueOutOfAlphabet
 
 
 def test_parity_lift_and_combine(parity):
-    assert fmux.lift_and_combine(parity, [1, 0, 1]) == 0
-    assert parity.finalize(fmux.lift_and_combine(parity, [1, 1, 1])) == 1
+    assert lift_and_combine(parity, [1, 0, 1]) == 0
+    assert parity.finalize(lift_and_combine(parity, [1, 1, 1])) == 1
 
 
 def test_max_lift_and_combine(max16):
-    assert fmux.lift_and_combine(max16, [3, 7, 2]) == 7
+    assert lift_and_combine(max16, [3, 7, 2]) == 7
 
 
 def test_kth_payload_and_finalize(kth2):
-    payload = fmux.lift_and_combine(kth2, [5, 1, 3])
+    payload = lift_and_combine(kth2, [5, 1, 3])
     assert payload == (5, 3)
     assert kth2.finalize(payload) == 3
 
 
 def test_offline_evaluate(parity, max16, kth2):
-    assert fmux.offline_evaluate(parity, (1, 1, 1)) == 1
-    assert fmux.offline_evaluate(max16, (9, 9, 2)) == 9
-    assert fmux.offline_evaluate(kth2, (4, 4, 1)) == 4  # duplicates stay in the multiset
+    assert offline_evaluate(parity, (1, 1, 1)) == 1
+    assert offline_evaluate(max16, (9, 9, 2)) == 9
+    assert offline_evaluate(kth2, (4, 4, 1)) == 4  # duplicates stay in the multiset
 
 
 def test_value_out_of_alphabet(parity):
     with pytest.raises(ValueOutOfAlphabet):
-        fmux.lift_and_combine(parity, [0, 2])
+        lift_and_combine(parity, [0, 2])
     with pytest.raises(ValueOutOfAlphabet):
-        fmux.offline_evaluate(parity, [0, -1])
+        offline_evaluate(parity, [0, -1])
 
 
 def test_check_divisible_examples(parity, max16):
-    assert fmux.check_divisible(parity, [[0], [1, 2], [3]], [1, 0, 1, 1])
-    assert fmux.check_divisible(max16, [[0], [1, 2]], [3, 7, 2])
+    assert check_divisible(parity, [[0], [1, 2], [3]], [1, 0, 1, 1])
+    assert check_divisible(max16, [[0], [1, 2]], [3, 7, 2])
 
 
 def test_check_divisible_rejects_bad_partition(parity):
     with pytest.raises(BadParams):
-        fmux.check_divisible(parity, [[0], [0, 1]], [1, 0])
+        check_divisible(parity, [[0], [0, 1]], [1, 0])
 
 
 def test_kth_divisibility_random():
@@ -57,7 +58,7 @@ def test_kth_divisibility_random():
         rng.shuffle(idx)
         cut = rng.randint(1, n - 1) if n > 1 else 1
         parts = [idx[:cut], idx[cut:]]
-        assert fmux.check_divisible(f, parts, values)
+        assert check_divisible(f, parts, values)
 
 
 def test_combine_commutative_associative():
@@ -75,7 +76,7 @@ def test_payload_size_constant():
     for f in (fmux.make_parity(), fmux.make_max(16), fmux.make_kth(2, 16)):
         single = f.encode_payload(f.lift(0))
         values = [rng.randrange(f.alphabet_size) for _ in range(12)]
-        merged = f.encode_payload(fmux.lift_and_combine(f, values))
+        merged = f.encode_payload(lift_and_combine(f, values))
         assert len(merged) == len(single)
 
 

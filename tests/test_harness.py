@@ -176,7 +176,8 @@ def test_sweep_lambda_star_in_packets(triangle, function):
         seeds=[1], horizon=4000.0, sample_every=5.0,
     )
     result = harness.sweep(cfg)
-    assert result.analytic["lambda_star"] == result.analytic["delta_star"] == 1.0
+    summary = result.summary()
+    assert summary["lambda_star"] == summary["delta_star"] == 1.0
     assert result.verdicts[(0.5, 1)].verdict == "stable"
     assert result.verdicts[(1.5, 1)].verdict == "unstable"
 
@@ -193,14 +194,19 @@ def test_sweep_reproducible_output(tmp_path, triangle):
     assert one(tmp_path / "a") == one(tmp_path / "b")
 
 
-def test_sweep_parallel_matches_sequential(tmp_path, triangle):
-    kw = dict(model="wireline", graph=triangle, lambdas=[0.5, 1.5], seeds=[1],
-              horizon=2000.0, sample_every=5.0)
-    seq = harness.sweep(ExperimentConfig(**kw))
-    par = harness.sweep(ExperimentConfig(**kw, workers=2))
-    assert {k: v.verdict for k, v in seq.verdicts.items()} == \
-           {k: v.verdict for k, v in par.verdicts.items()}
-    assert seq.verdicts[(0.5, 1)].slope == par.verdicts[(0.5, 1)].slope
+def test_sweep_parallel_matches_sequential(tmp_path, triangle, shared_channel):
+    # The static-sss workers read the sweep's analysis from the pickled config.
+    for kw in (dict(model="wireline", lambdas=[0.5, 1.5], horizon=2000.0,
+                    sample_every=5.0),
+               dict(model="wireless", policy="static-sss", schedules=shared_channel,
+                    lambdas=[0.3, 0.7], horizon=2000, sample_every=5)):
+        kw.update(graph=triangle, seeds=[1])
+        seq = harness.sweep(ExperimentConfig(**kw))
+        par = harness.sweep(ExperimentConfig(**kw, workers=2))
+        assert {k: v.verdict for k, v in seq.verdicts.items()} == \
+               {k: v.verdict for k, v in par.verdicts.items()}
+        assert {k: v.slope for k, v in seq.verdicts.items()} == \
+               {k: v.slope for k, v in par.verdicts.items()}
 
 
 def test_sweep_k5_grid_brackets_bottleneck(k5):
@@ -217,7 +223,7 @@ def test_sweep_k5_grid_brackets_bottleneck(k5):
     assert result.verdicts[(4.4, 1)].verdict == "unstable"
     assert result.verdicts[(4.8, 1)].verdict == "unstable"
     assert 3.6 <= result.lambda_hat <= 4.4
-    assert result.analytic["lambda_star"] == 4.0
+    assert result.summary()["lambda_star"] == 4.0
 
 
 def test_sweep_wireless_static_policy(triangle, shared_channel):
@@ -228,7 +234,7 @@ def test_sweep_wireless_static_policy(triangle, shared_channel):
     )
     result = harness.sweep(cfg)
     assert result.verdicts[(0.3, 4)].verdict == "stable"
-    assert result.analytic["delta_star"] == pytest.approx(0.5, abs=1e-6)
+    assert result.analysis.delta_star == pytest.approx(0.5, abs=1e-6)
 
 
 def test_sweep_wireless_argmin_from_induced_rates():
@@ -241,7 +247,29 @@ def test_sweep_wireless_argmin_from_induced_rates():
     assert flows.min_mincut(g, induced)[1] == 1
     cfg = ExperimentConfig(model="wireless", graph=g, schedules=one_link,
                            lambdas=[0.1], seeds=[1], horizon=200)
-    assert harness.sweep(cfg).analytic["argmin_node"] == 1
+    assert harness.sweep(cfg).analysis.argmin_node == 1
+
+
+@pytest.mark.parametrize("model, policy, expected", [
+    ("wireless", "static-sss", (1, 1, 1)),
+    ("wireless", "greedy-maxweight", (1, 0, 1)),
+    ("wireline", "greedy-maxweight", (0, 0, 0)),
+])
+def test_sweep_analyses_once(monkeypatch, k5, model, policy, expected):
+    # One analysis per sweep, whatever the number of (lambda, seed) points.
+    names = ("enumerate_aggregation_trees", "tree_packing_lp", "optimal_sss")
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(flows, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(flows, name, counted)
+    cfg = ExperimentConfig(model=model, policy=policy, graph=k5, lambdas=[1.0, 2.0],
+                           seeds=[1, 2, 3], horizon=100, workers=1)
+    result = harness.sweep(cfg)
+    assert len(result.verdicts) == 6
+    assert tuple(counts[n] for n in names) == expected
+    assert result.summary()["cut"] == [list(l) for l in result.analysis.cut]
 
 
 # ---------------------------------------------------------------------------
