@@ -1,9 +1,10 @@
+import hashlib
 import json
 import random
 
 import pytest
 
-from aggnet import checks, flows, harness
+from aggnet import checks, flows, fmux, graph, harness, wireless
 from aggnet.errors import BadParams, SeriesTooShort
 from aggnet.harness import DetectorParams, ExperimentConfig, detect_stability
 
@@ -192,6 +193,21 @@ def test_sweep_reproducible_output(tmp_path, triangle):
         return (d / "wireline_greedy-maxweight_lam0.6_seed3.csv").read_bytes()
 
     assert one(tmp_path / "a") == one(tmp_path / "b")
+
+
+# sha256 of one seeded run's CSV: changes to the wireless slot loop or to
+# the CSV writer must leave these bytes as they are.
+WIRELESS_CSV_SHA256 = "cf9b98d57d66138dd6fbe4df7f12e5ac9f91ead05bc538b3b14525973259f257"
+
+
+def test_wireless_csv_bytes_pinned(tmp_path):
+    k5 = graph.generate("complete", n=5, capacity=1.0)
+    m = wireless.run(k5, flows.wireline_schedule_set(k5),
+                     flows.enumerate_aggregation_trees(k5), fmux.make_kth(2, 16),
+                     lam=3.6, seed=1, horizon=600, sample_every=5)
+    path = tmp_path / "k5.csv"
+    harness.write_wireless_csv(m, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == WIRELESS_CSV_SHA256
 
 
 def test_sweep_parallel_matches_sequential(tmp_path, triangle, shared_channel):

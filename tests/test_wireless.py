@@ -119,6 +119,25 @@ def test_maxweight_on_one_tree(k5):
     assert idx == 0 and best_tree == {(1, 0): 0}
 
 
+def test_policy_pieces_called_through_module(monkeypatch, k5):
+    # The benchmark times MaxWeight and greedy routing by patching these
+    # module attributes, so each slot must look them up there.
+    calls = {"maxweight_schedule": 0, "greedy_tree_load": 0}
+    for name in calls:
+        original = getattr(wireless, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(wireless, name, counted)
+    m = wireless.run(k5, flows.wireline_schedule_set(k5),
+                     flows.enumerate_aggregation_trees(k5), fmux.make_parity(),
+                     lam=1.0, seed=3, horizon=50, arrival_law="deterministic")
+    assert m.completed > 0
+    assert calls == {"maxweight_schedule": 50, "greedy_tree_load": 50}
+
+
 def test_lyapunov_value():
     assert wireless.lyapunov_value([[0, 0], [0, 0]]) == 0.0
     assert wireless.lyapunov_value([[2], [3]]) == 13.0
@@ -450,7 +469,49 @@ GOLDEN = {"k5-greedy-3.6": (10527, "795846.0", 706, 489, [(0, 3000)],
                    2050, 2083, 2047, 2108, 2272, 2238, 2202, 2236, 2217, 2205, 2227,
                    2237, 2262, 2310, 2292, 2296, 2286, 2308, 2282, 2269, 2255, 2251,
                    2274, 2281, 2340, 2331, 2317, 2288, 2367, 2368, 2512, 2472, 2458,
-                   2434, 2427, 2383, 2437, 2494, 2470])}
+                   2434, 2427, 2383, 2437, 2494, 2470]),
+ "k5-split-maxweight-3.6": (10773, "152360.0", 283, 102, [(0, 3000)],
+                            [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                             0, 542, 0, 0, 0, 0, 540, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                             0, 0, 0, 0, 0, 0, 1658, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                             514, 0, 0, 1618, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                             546, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1044, 0, 0, 0, 0, 0,
+                             0, 0, 1628, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 561,
+                             0, 0, 0, 549, 0, 0, 0, 1098, 0, 0, 0, 517, 0, 0, 0],
+                            [79, 79, 80, 82, 73, 69, 63, 72, 82, 81, 86, 89, 90, 84, 90,
+                             93, 103, 110, 111, 100, 102, 106, 103, 101, 106, 92, 81,
+                             86, 94, 91, 83, 87, 79, 83, 93, 83, 92, 97, 103, 97, 84,
+                             82, 89, 78, 85, 80, 76, 92, 97, 102],
+                            [77.0, 74.0, 77.0, 80.0, 69.0, 63.0, 60.0, 65.0, 86.0, 90.0,
+                             97.0, 89.0, 93.0, 86.0, 90.0, 99.0, 123.0, 138.0, 120.0,
+                             88.0, 101.0, 106.0, 103.0, 104.0, 102.0, 82.0, 82.0, 89.0,
+                             96.0, 97.0, 87.0, 85.0, 88.0, 92.0, 94.0, 78.0, 84.0, 97.0,
+                             138.0, 119.0, 106.0, 87.0, 90.0, 70.0, 81.0, 68.0, 72.0,
+                             91.0, 95.0, 92.0]),
+ "k4cap2-greedy-5.4": (16077, "281898.0", 272, 93, [(0, 3000)],
+                       [117, 278, 275, 317, 1887, 1419, 247, 1479, 277, 1467, 1947,
+                        1397, 286, 1377, 1446, 1922],
+                       [141, 144, 146, 142, 139, 140, 130, 131, 136, 130, 125, 132, 128,
+                        125, 129, 117, 114, 120, 122, 109, 122, 119, 115, 127, 120, 118,
+                        121, 114, 108, 106, 107, 113, 107, 106, 109, 105, 107, 106, 100,
+                        101, 104, 101, 102, 94, 98, 105, 99, 106, 101, 93],
+                       [464.0, 435.0, 415.0, 407.0, 409.0, 420.0, 384.0, 396.0, 445.0,
+                        378.0, 375.0, 438.0, 382.0, 360.0, 371.0, 328.0, 328.0, 327.0,
+                        339.0, 306.0, 339.0, 321.0, 289.0, 393.0, 326.0, 287.0, 317.0,
+                        274.0, 258.0, 265.0, 246.0, 243.0, 228.0, 242.0, 222.0, 206.0,
+                        231.0, 208.0, 216.0, 204.0, 179.0, 207.0, 205.0, 194.0, 227.0,
+                        307.0, 269.0, 300.0, 279.0, 239.0]),
+ "k4cap2-static-5.4": (16209, "75391.0", 125, 41, [(0, 3000)],
+                       [0, 0, 0, 0, 5412, 0, 0, 0, 0, 0, 0, 5342, 0, 5474, 0, 0],
+                       [36, 39, 33, 25, 24, 28, 18, 12, 19, 34, 32, 29, 29, 23, 15, 15,
+                        10, 14, 15, 19, 17, 11, 18, 20, 36, 40, 39, 35, 40, 35, 26, 24,
+                        21, 30, 22, 27, 32, 25, 40, 41, 33, 28, 23, 26, 23, 21, 34, 36,
+                        46, 41],
+                       [67.0, 74.0, 77.0, 45.0, 35.0, 29.0, 21.0, 14.0, 25.0, 44.0,
+                        38.0, 33.0, 33.0, 24.0, 19.0, 16.0, 13.0, 16.0, 19.0, 29.0,
+                        17.0, 11.0, 19.0, 24.0, 61.0, 74.0, 74.0, 57.0, 77.0, 74.0,
+                        52.0, 36.0, 43.0, 50.0, 35.0, 28.0, 46.0, 38.0, 61.0, 77.0,
+                        50.0, 34.0, 26.0, 30.0, 26.0, 23.0, 51.0, 60.0, 75.0, 57.0])}
 
 
 def _golden_run(name):
@@ -470,6 +531,26 @@ def _golden_run(name):
         trees = flows.enumerate_aggregation_trees(k5)
         packing = flows.tree_packing_lp(k5, induced, trees)
         return wireless.run(k5, wired, trees, kth, lam=3.6, seed=3, horizon=3000,
+                            routing="fixed_split", scheduling="static_sss",
+                            split_weights=[max(w, 0.0) for w in packing.weights],
+                            sss_rule=rule)
+    if name == "k5-split-maxweight-3.6":
+        _, induced, _ = flows.optimal_sss(k5, wired)
+        trees = flows.enumerate_aggregation_trees(k5)
+        packing = flows.tree_packing_lp(k5, induced, trees)
+        return wireless.run(k5, wired, trees, kth, lam=3.6, seed=6, horizon=3000,
+                            routing="fixed_split",
+                            split_weights=[max(w, 0.0) for w in packing.weights])
+    if name.startswith("k4cap2"):
+        # Rate-2 links: one slot moves several packets per link, across trees.
+        k4 = graph.generate("complete", n=4, capacity=2.0)
+        wired4 = flows.wireline_schedule_set(k4)
+        trees4 = flows.enumerate_aggregation_trees(k4)
+        if name == "k4cap2-greedy-5.4":
+            return wireless.run(k4, wired4, trees4, kth, lam=5.4, seed=7, horizon=3000)
+        rule, induced, _ = flows.optimal_sss(k4, wired4)
+        packing = flows.tree_packing_lp(k4, induced, trees4)
+        return wireless.run(k4, wired4, trees4, kth, lam=5.4, seed=8, horizon=3000,
                             routing="fixed_split", scheduling="static_sss",
                             split_weights=[max(w, 0.0) for w in packing.weights],
                             sss_rule=rule)
