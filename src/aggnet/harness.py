@@ -344,7 +344,7 @@ def write_wireless_csv(metrics: wireless.WirelessMetrics, path):
         fh.write(f"slot,total_useful,total_nonuseful,V,completed,mean_latency,{tree_cols}\n")
         for row in metrics.csv_rows():
             slot, useful, nonuseful, v, completed, ml, *loads = row
-            loads_txt = ",".join(str(x) for x in loads)
+            loads_txt = ",".join(map(str, loads))
             fh.write(f"{slot},{useful},{nonuseful},{v:.1f},{completed},{ml:.6f},{loads_txt}\n")
 
 

@@ -21,13 +21,33 @@ per round with given weights, the static-packing construction), and
 
 Queue lengths are kept link-major.  The useful queue of tree t at sensor
 i feeds exactly one link, (i, parent_t(i)), so ``link_counts`` holds one
-list per link, aligned with ``TreeIndex.trees_on_link``.  MaxWeight finds
-a link's weight and its maximizing tree with C-level ``max``, ``count``
-and ``index`` over that one list, never gathering (link, tree) pairs.  A
-tie among k trees draws ``rng.randrange(k)`` and walks to that tied
-position without building a tie list; ``Random.choice`` draws
-``seq[_randbelow(len(seq))]``, so the draw uses the same random bits a
-choice from the list would.
+list per link, aligned with ``TreeIndex.trees_on_link``; a link's place in
+that key order is its position.  MaxWeight weighs every link at once with
+``map(max, link_counts)`` into a list of weights by position, finds a
+link's maximizing tree with C-level ``count`` and ``index`` over its one
+list, and weighs each schedule from its (position, rate) pairs, built
+once by ``TreeIndex.schedule_positions``.  With a single schedule there
+is nothing to weigh.
+
+Each slot serves one list of (tree, link, packets) sends through one
+transfer loop.  MaxWeight sends from the maximizing tree of each
+scheduled link.  Static-sss plans its sends from each scheduled link's
+queue heads in round-id order before any packet moves: a transfer only
+pops a queue head, the queues of different links are disjoint, and a
+round made ready by a transfer joins its next queue only after every
+transfer of the slot, so the plan serves the same rounds as serving one
+packet at a time.
+
+Per-round state is node-indexed lists: ``payloads`` (the aggregator
+holds the empty payload) and ``pending``, each node's count of children
+still to send, copied from the tree's template.
+
+Random draws are exact and inline.  Sensor values and the MaxWeight and
+greedy tie draws take ``getrandbits`` of the bound's bit length and draw
+again while the value is not below the bound, which is how
+``Random.randrange`` and ``Random.choice`` draw; so a run takes the same
+random bits, in the same order, as those calls would.  A tie among k
+trees walks to the drawn tied position without building a tie list.
 
 Useful queues are FIFO deques: each receives rounds in ascending round
 id.  A leaf receives them at placement, as ids are handed out; every
@@ -42,7 +62,10 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from operator import itemgetter
+from functools import partial
+from heapq import merge
+from itertools import islice, repeat
+from operator import itemgetter, mul
 from random import Random
 
 from .errors import BadParams, MultiTreeConfig, OracleMismatch
@@ -95,12 +118,12 @@ class TreeIndex:
     """Link -> trees reverse index plus the per-tree cell tables.
 
     ``trees_on_link`` lists, per link, the trees using it in ascending
-    order; its key order fixes each link's position.  ``cell[t][i]`` is
-    the (link position, position in ``trees_on_link[link]``) of tree t's
-    useful queue at sensor i, whose link is (i, parent_t(i)), and None at
-    the aggregator.  ``leaves[t]`` lists the leaves of tree t, and
-    ``pending_template[t]`` maps every other node, aggregator included, to
-    its number of children in tree t.
+    order; its key order fixes each link's position, ``link_pos[link]``.
+    ``cell[t][i]`` is the (link position, position in
+    ``trees_on_link[link]``) of tree t's useful queue at sensor i, whose
+    link is (i, parent_t(i)), and None at the aggregator.  ``leaves[t]``
+    lists the leaves of tree t, and ``pending_template[t]`` holds each
+    node's number of children in tree t, indexed by node.
     """
 
     def __init__(self, g: NetworkGraph, trees):
@@ -113,10 +136,11 @@ class TreeIndex:
         self.trees = trees
         self.tree_links = []
         self.trees_on_link = {}
-        link_pos = {}  # in the key order of trees_on_link
+        self.link_pos = {}  # in the key order of trees_on_link
         self.cell = []
         self.leaves = []
         self.pending_template = []
+        sensors = g.sensors
         for ti, tree in enumerate(trees):
             self.tree_links.append(frozenset(tree.tree_links))
             children = [0] * g.n
@@ -124,16 +148,21 @@ class TreeIndex:
             for i, p in tree.parent:
                 children[p] += 1
                 column = self.trees_on_link.setdefault((i, p), [])
-                cells[i] = (link_pos.setdefault((i, p), len(link_pos)), len(column))
+                cells[i] = (self.link_pos.setdefault((i, p), len(self.link_pos)),
+                            len(column))
                 column.append(ti)
             self.cell.append(cells)
-            self.leaves.append([i for i in g.sensors if not children[i]])
-            self.pending_template.append(
-                {i: c for i, c in enumerate(children) if c or i == g.aggregator}
-            )
+            self.leaves.append([i for i in sensors if not children[i]])
+            self.pending_template.append(children)
 
     def __len__(self):
         return len(self.trees)
+
+    def schedule_positions(self, schedule_set: ScheduleSet):
+        """Per schedule, the (link position, rate) of each of its links that
+        some tree uses, in the schedule's link order."""
+        return [[(self.link_pos[l], s.rates[l]) for l in s.links if l in self.link_pos]
+                for s in schedule_set.schedules]
 
 
 def _integral_rates(ss: ScheduleSet):
@@ -164,50 +193,76 @@ def greedy_tree_load(tree_totals, rng: Random) -> int:
     ties = tree_totals.count(best)
     if ties == 1:
         return tree_totals.index(best)
-    return _nth_index(tree_totals, best, rng.randrange(ties))
+    # rng.randrange(ties), drawn inline
+    bits = ties.bit_length()
+    r = rng.getrandbits(bits)
+    while r >= ties:
+        r = rng.getrandbits(bits)
+    return _nth_index(tree_totals, best, r)
 
 
-def maxweight_schedule(schedule_set: ScheduleSet, tree_index: TreeIndex,
-                       link_counts, rng: Random):
+def maxweight_schedule(schedule_positions, tree_index: TreeIndex, link_counts,
+                       rng: Random):
     """Pick the admissible schedule maximizing sum of P_ij * c_ij.
 
     P_ij is the largest per-tree useful backlog at i over trees containing
     (i,j); `link_counts` holds those backlogs per link, aligned with
-    ``tree_index.trees_on_link``.  Returns (schedule index, {link:
-    maximizing tree}).  Ties, both in the per-link tree and in the
-    schedule, are broken uniformly at random.
+    ``tree_index.trees_on_link``, and `schedule_positions` is
+    ``tree_index.schedule_positions(schedule_set)``.  Returns (schedule
+    index, maximizing tree per link position, None where the link has no
+    useful backlog).  Ties, both in the per-link tree and in the schedule,
+    are broken uniformly at random.
     """
-    weight = {}
-    best_tree = {}
-    for (link, taus), col in zip(tree_index.trees_on_link.items(), link_counts):
-        best = max(col)
-        if best > 0:
-            weight[link] = best
-            ties = col.count(best)
-            if ties == 1:
-                best_tree[link] = taus[col.index(best)]
-            else:
-                best_tree[link] = taus[_nth_index(col, best, rng.randrange(ties))]
+    getrandbits = rng.getrandbits
+    weights = list(map(max, link_counts))
+    best_tree = []
+    add = best_tree.append
+    for w, col, taus in zip(weights, link_counts, tree_index.trees_on_link.values()):
+        if not w:
+            add(None)
+            continue
+        ties = col.count(w)
+        if ties == 1:
+            add(taus[col.index(w)])
+            continue
+        # rng.randrange(ties), drawn inline, then a walk to that tie
+        bits = ties.bit_length()
+        r = getrandbits(bits)
+        while r >= ties:
+            r = getrandbits(bits)
+        pos = col.index(w)
+        for _ in range(r):
+            pos = col.index(w, pos + 1)
+        add(taus[pos])
+    if len(schedule_positions) == 1:
+        return 0, best_tree
     best_total = None
     best_scheds = []
-    for k, sched in enumerate(schedule_set.schedules):
+    for k, plan in enumerate(schedule_positions):
         total = 0.0
-        for l in sched.links:
-            w = weight.get(l)
+        for p, rate in plan:
+            w = weights[p]
             if w:
-                total += w * sched.rates[l]
+                total += w * rate
         if best_total is None or total > best_total + 1e-12:
             best_total = total
             best_scheds = [k]
         elif abs(total - best_total) <= 1e-12:
             best_scheds.append(k)
-    chosen = best_scheds[0] if len(best_scheds) == 1 else rng.choice(best_scheds)
-    return chosen, best_tree
+    ties = len(best_scheds)
+    if ties == 1:
+        return best_scheds[0], best_tree
+    # rng.choice(best_scheds), drawn inline
+    bits = ties.bit_length()
+    r = getrandbits(bits)
+    while r >= ties:
+        r = getrandbits(bits)
+    return best_scheds[r], best_tree
 
 
 def lyapunov_value(link_counts) -> float:
     """Sum of squared useful-queue lengths: the drift diagnostic."""
-    return float(sum(q * q for col in link_counts for q in col))
+    return float(sum(sum(map(mul, col, col)) for col in link_counts))
 
 
 def _cumulative(weights):
@@ -304,6 +359,8 @@ class WirelessSimulator:
             raise BadParams(f"unknown scheduling {scheduling!r}")
         schedule_set.validate_links(g)
         _integral_rates(schedule_set)
+        if func.alphabet_size < 1:
+            raise BadParams(f"alphabet size must be positive, got {func.alphabet_size}")
         if func.k and func.k > len(g.sensors):
             raise BadParams(
                 f"order statistic k={func.k} needs at least k sensors, "
@@ -335,15 +392,26 @@ class WirelessSimulator:
             self._sss_cum = _cumulative(weights)
         else:
             self._sss_cum = None
-        # Per schedule, the links it serves with their whole-packet rates.
-        self._sched_caps = [
-            [(l, int(s.rates[l])) for l in s.links if int(s.rates[l]) > 0]
+        tix = self.tix
+        # Per schedule, (link position, link, whole-packet rate) of each
+        # link it serves that some tree uses.
+        link_pos = tix.link_pos
+        self._sched_sends = [
+            [(link_pos[l], l, int(s.rates[l])) for l in s.links
+             if l in link_pos and int(s.rates[l]) > 0]
             for s in schedule_set.schedules
         ]
+        self._weighing = tix.schedule_positions(schedule_set)
 
-        tix = self.tix
         ntrees = len(tix)
-        self._sensors = g.sensors
+        self._nsensors = len(g.sensors)
+        self._aggregator = g.aggregator
+        # Sensor values: rng.randrange(alphabet) draws getrandbits of the
+        # alphabet's bit length until a value falls below it, so the values
+        # of successive draws are this filtered stream, read lazily.
+        self._values = filter(func.alphabet_size.__gt__,
+                              iter(partial(self.rng.getrandbits,
+                                           func.alphabet_size.bit_length()), -1))
         self.useful = [[deque() for _ in range(g.n)] for _ in range(ntrees)]
         self.link_counts = [[0] * len(taus) for taus in tix.trees_on_link.values()]
         # Per (tree, node): its useful queue, its link column and its
@@ -355,9 +423,14 @@ class WirelessSimulator:
         ]
         self._leaf_cells = [[self._cells[ti][i] for i in leaves]
                             for ti, leaves in enumerate(tix.leaves)]
-        # Per link, the useful queues at its tail, aligned with its column.
-        self._link_queues = {link: [self.useful[t][link[0]] for t in taus]
-                             for link, taus in tix.trees_on_link.items()}
+        # Per tree, the not-useful queues a new round adds: every node with
+        # children except the aggregator.
+        self._relays = [sum(1 for i, c in enumerate(children) if c and i != g.aggregator)
+                        for children in tix.pending_template]
+        # Per link position, the useful queues at its tail, aligned with its
+        # column.
+        self._link_queues = [[self.useful[t][link[0]] for t in taus]
+                             for link, taus in tix.trees_on_link.items()]
         self.tree_totals = [0] * ntrees
         self.rounds = {}
         self.assigned = [0] * ntrees
@@ -385,68 +458,95 @@ class WirelessSimulator:
         self._arr_carry = carry - count
         return count
 
-    def _place_round(self, tree_idx: int) -> int:
+    def _place_rounds(self, trees):
+        """Place one new round on each tree index `trees` yields, in order."""
         f = self.func
-        rid = self._next_rid
-        self._next_rid += 1
-        randrange, alphabet = self.rng.randrange, f.alphabet_size
-        sensors = self._sensors
-        sensed = [randrange(alphabet) for _ in sensors]
-        payloads = dict(zip(sensors, map(f.lift, sensed)))
-        payloads[self.g.aggregator] = f.empty_payload
-        leaves = self._leaf_cells[tree_idx]
-        for q, col, pos in leaves:
-            q.append(rid)
-            col[pos] += 1
-        self.tree_totals[tree_idx] += len(leaves)
-        self.u_total += len(leaves)
-        pending = dict(self.tix.pending_template[tree_idx])
-        self.nu_total += len(pending) - 1  # the aggregator is not a queue
-        r = _WRound(rid, tree_idx, self.slot, payloads, pending, sensed)
-        if self.debug:
-            r.crossed = set()
-        self.rounds[rid] = r
-        self.assigned[tree_idx] += 1
-        return rid
+        lift, values = f.lift, self._values
+        nsensors, aggregator, empty = self._nsensors, self._aggregator, f.empty_payload
+        templates, rounds, slot = self.tix.pending_template, self.rounds, self.slot
+        for tree_idx in trees:
+            rid = self._next_rid
+            self._next_rid += 1
+            sensed = list(islice(values, nsensors))
+            payloads = list(map(lift, sensed))
+            payloads.insert(aggregator, empty)
+            leaves = self._leaf_cells[tree_idx]
+            for q, col, pos in leaves:
+                q.append(rid)
+                col[pos] += 1
+            self.tree_totals[tree_idx] += len(leaves)
+            self.u_total += len(leaves)
+            self.nu_total += self._relays[tree_idx]
+            r = _WRound(rid, tree_idx, slot, payloads, templates[tree_idx].copy(), sensed)
+            if self.debug:
+                r.crossed = set()
+            rounds[rid] = r
+            self.assigned[tree_idx] += 1
 
     # -- per-slot dynamics ----------------------------------------------------
 
-    def _transmit(self, tree_idx, link, count, ready):
-        """Move up to `count` rounds across `link` from the tree's useful queue.
+    def _fifo_sends(self, sched_idx):
+        """Static scheduling: each scheduled link's sends, one packet each,
+        from its trees' queue heads in global round-id order."""
+        sends = []
+        rounds = self.rounds
+        link_queues = self._link_queues
+        for pos, link, cap in self._sched_sends[sched_idx]:
+            queues = link_queues[pos]
+            if cap == 1:
+                q = min(filter(None, queues), key=_head, default=None)
+                if q is not None:
+                    sends.append((rounds[q[0]].tree, link, 1))
+            else:
+                for rid in islice(merge(*filter(None, queues)), cap):
+                    sends.append((rounds[rid].tree, link, 1))
+        return sends
 
-        Appends (rid, j) to `ready` for each round whose last missing child
-        packet reaches the receiver j.
+    def _transfer(self, sends):
+        """Move each (tree, link, packets) send's rounds across its link.
+
+        Returns (rid, j) for each round whose last missing child packet
+        reached its receiver j, in transfer order.
         """
-        i, j = link
-        q, col, pos = self._cells[tree_idx][i]
-        moved = min(count, len(q))
-        rounds, combine = self.rounds, self.func.combine
-        for _ in range(moved):
-            rid = q.popleft()
-            r = rounds[rid]
-            if self.debug:
-                if r.pending.get(i, 0) != 0:
-                    raise AssertionError(
-                        f"round {rid} left node {i} before aggregating its children"
-                    )
-                if link in r.crossed:
-                    raise AssertionError(f"round {rid} crossed {link} twice")
-                r.crossed.add(link)
-            payloads = r.payloads
-            payloads[j] = combine(payloads[j], payloads.pop(i))
-            pending = r.pending
-            left = pending[j] - 1
-            pending[j] = left
-            if not left:
-                ready.append((rid, j))
-        if moved:
+        ready = []
+        rounds, combine, cells = self.rounds, self.func.combine, self._cells
+        tree_totals, debug = self.tree_totals, self.debug
+        sent = 0
+        for tree_idx, link, count in sends:
+            i, j = link
+            q, col, pos = cells[tree_idx][i]
+            moved = min(count, len(q))
+            for _ in range(moved):
+                rid = q.popleft()
+                r = rounds[rid]
+                if debug:
+                    self._check_transfer(r, i, link)
+                payloads = r.payloads
+                payloads[j] = combine(payloads[j], payloads[i])
+                pending = r.pending
+                left = pending[j] - 1
+                pending[j] = left
+                if not left:
+                    ready.append((rid, j))
             col[pos] -= moved
-            self.tree_totals[tree_idx] -= moved
-            self.u_total -= moved
+            tree_totals[tree_idx] -= moved
+            sent += moved
+        self.u_total -= sent
+        return ready
+
+    def _check_transfer(self, r, i, link):
+        """Debug: a round leaves a node once, after aggregating its children."""
+        if r.pending[i]:
+            raise AssertionError(
+                f"round {r.rid} left node {i} before aggregating its children"
+            )
+        if link in r.crossed:
+            raise AssertionError(f"round {r.rid} crossed {link} twice")
+        r.crossed.add(link)
 
     def _finish_round(self, r):
         f = self.func
-        got = f.finalize(r.payloads[self.g.aggregator])
+        got = f.finalize(r.payloads[self._aggregator])
         expected = f.direct(r.sensed)
         if got != expected:
             raise OracleMismatch(r.rid, got, expected)
@@ -465,69 +565,53 @@ class WirelessSimulator:
         n_arr = self._draw_arrivals()
         if n_arr:
             if self.routing == "greedy":
-                tree = greedy_tree_load(self.tree_totals, rng)
-                for _ in range(n_arr):
-                    self._place_round(tree)
+                self._place_rounds(repeat(greedy_tree_load(self.tree_totals, rng), n_arr))
             elif self.routing == "single_tree":
-                for _ in range(n_arr):
-                    self._place_round(0)
+                self._place_rounds(repeat(0, n_arr))
             else:
-                for _ in range(n_arr):
-                    self._place_round(_draw_categorical(rng, self._split_cum))
+                # Lazy, so each round's tree is drawn just before its values.
+                cum = self._split_cum
+                self._place_rounds(_draw_categorical(rng, cum) for _ in range(n_arr))
 
-        # 3: schedule selection.
+        # 3: schedule selection and the slot's sends.
         if self.scheduling == "maxweight":
             sched_idx, best_tree = maxweight_schedule(
-                self.schedule_set, self.tix, self.link_counts, rng
+                self._weighing, self.tix, self.link_counts, rng
             )
+            sends = [(best_tree[pos], link, cap)
+                     for pos, link, cap in self._sched_sends[sched_idx]
+                     if best_tree[pos] is not None]
         else:
             sched_idx = _draw_categorical(rng, self._sss_cum)
-            best_tree = None
+            sends = self._fifo_sends(sched_idx)
         m = self.metrics
         m.schedule_counts[sched_idx] = m.schedule_counts.get(sched_idx, 0) + 1
 
         # 4: transmissions.
-        ready = []
-        for link, cap in self._sched_caps[sched_idx]:
-            if best_tree is not None:
-                tree = best_tree.get(link)
-                if tree is not None:
-                    self._transmit(tree, link, cap, ready)
-            else:
-                self._serve_fifo(link, cap, ready)
+        ready = self._transfer(sends)
 
         # 5: internal transfers and completions, in round-id order.
         if ready:
             ready.sort()
-            aggregator = self.g.aggregator
+            aggregator, rounds, cells = self._aggregator, self.rounds, self._cells
+            tree_totals = self.tree_totals
+            joined = 0
             for rid, j in ready:
-                r = self.rounds[rid]
-                del r.pending[j]
+                r = rounds[rid]
                 if j == aggregator:
                     self._finish_round(r)
                 else:
-                    q, col, pos = self._cells[r.tree][j]
+                    q, col, pos = cells[r.tree][j]
                     q.append(rid)
                     col[pos] += 1
-                    self.tree_totals[r.tree] += 1
-                    self.u_total += 1
-                    self.nu_total -= 1
+                    tree_totals[r.tree] += 1
+                    joined += 1
+            self.u_total += joined
+            self.nu_total -= joined
 
         self.slot += 1
         if self.debug:
             self._assert_queue_counts()
-
-    def _serve_fifo(self, link, cap, ready):
-        """Static scheduling: serve the link's trees in global round-id order."""
-        queues = self._link_queues.get(link)
-        if not queues:
-            return
-        rounds = self.rounds
-        for _ in range(cap):
-            q = min(filter(None, queues), key=_head, default=None)
-            if q is None:
-                return
-            self._transmit(rounds[q[0]].tree, link, 1, ready)
 
     def _assert_queue_counts(self):
         """Debug: queues ascending; link columns and totals equal a recount."""
@@ -544,7 +628,9 @@ class WirelessSimulator:
                 raise AssertionError(f"link {link} counts {col} != queue lengths {lengths}")
         if self.u_total != sum(self.tree_totals):
             raise AssertionError(f"useful total {self.u_total} != recount")
-        nonuseful = sum(len(r.pending) - 1 for r in self.rounds.values())
+        aggregator = self._aggregator
+        nonuseful = sum(1 for r in self.rounds.values()
+                        for i, c in enumerate(r.pending) if c and i != aggregator)
         if self.nu_total != nonuseful:
             raise AssertionError(f"not-useful total {self.nu_total} != recount {nonuseful}")
 

@@ -65,11 +65,18 @@ def link_counts(tix, per_tree):
     return [[per_tree[t][link[0]] for t in taus] for link, taus in tix.trees_on_link.items()]
 
 
+def maxweight(schedule_set, tix, counts, rng):
+    """`maxweight_schedule` with its maximizing trees keyed by link."""
+    idx, best = wireless.maxweight_schedule(tix.schedule_positions(schedule_set), tix,
+                                            counts, rng)
+    return idx, {link: t for link, t in zip(tix.trees_on_link, best) if t is not None}
+
+
 def test_maxweight_zero_queues(triangle, shared_channel):
     tix = TreeIndex(triangle, flows.enumerate_aggregation_trees(triangle))
     counts = link_counts(tix, [[0] * 3 for _ in range(len(tix))])
     rng = random.Random(3)
-    idx, best_tree = wireless.maxweight_schedule(shared_channel, tix, counts, rng)
+    idx, best_tree = maxweight(shared_channel, tix, counts, rng)
     assert best_tree == {}
     assert 0 <= idx < len(shared_channel)
 
@@ -81,8 +88,7 @@ def test_maxweight_picks_heaviest_link(triangle, shared_channel):
     per_tree[1][2] = 7   # line tree: 7 useful at node 2 -> weight on (2, 1)
     per_tree[0][1] = 3   # star tree: 3 useful at node 1 -> weight on (1, 0)
     rng = random.Random(4)
-    idx, best_tree = wireless.maxweight_schedule(
-        shared_channel, tix, link_counts(tix, per_tree), rng)
+    idx, best_tree = maxweight(shared_channel, tix, link_counts(tix, per_tree), rng)
     assert shared_channel.schedules[idx].links == ((2, 1),)
     assert best_tree[(2, 1)] == 1
 
@@ -94,8 +100,7 @@ def test_maxweight_dominates_every_schedule(triangle, shared_channel):
     rng = random.Random(5)
     for _ in range(200):
         per_tree = [[rng.randrange(6) for _ in range(3)] for _ in range(2)]
-        idx, _ = wireless.maxweight_schedule(
-            shared_channel, tix, link_counts(tix, per_tree), rng)
+        idx, _ = maxweight(shared_channel, tix, link_counts(tix, per_tree), rng)
 
         def weight(k):
             total = 0
@@ -114,8 +119,7 @@ def test_maxweight_on_one_tree(k5):
     ss = flows.wireline_schedule_set(k5)
     rng = random.Random(20)
     tix = TreeIndex(k5, [star_tree()])
-    idx, best_tree = wireless.maxweight_schedule(
-        ss, tix, link_counts(tix, [[0, 4, 0, 0, 0]]), rng)
+    idx, best_tree = maxweight(ss, tix, link_counts(tix, [[0, 4, 0, 0, 0]]), rng)
     assert idx == 0 and best_tree == {(1, 0): 0}
 
 
