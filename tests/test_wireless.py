@@ -202,6 +202,12 @@ def test_run_rejects_sample_every_below_one_slot(triangle, shared_channel, every
                      fmux.make_parity(), lam=0.4, seed=1, horizon=10, sample_every=every)
 
 
+def test_empty_alphabet_rejected(k5):
+    # No value can be sensed; the sensor draw would never end.
+    with pytest.raises(BadParams, match="alphabet size"):
+        make_sim(k5, flows.wireline_schedule_set(k5), [star_tree()], func=fmux.make_max(0))
+
+
 def test_single_tree_requires_one_tree(k5):
     ss = flows.wireline_schedule_set(k5)
     with pytest.raises(MultiTreeConfig):
@@ -515,7 +521,23 @@ GOLDEN = {"k5-greedy-3.6": (10527, "795846.0", 706, 489, [(0, 3000)],
                         38.0, 33.0, 33.0, 24.0, 19.0, 16.0, 13.0, 16.0, 19.0, 29.0,
                         17.0, 11.0, 19.0, 24.0, 61.0, 74.0, 74.0, 57.0, 77.0, 74.0,
                         52.0, 36.0, 43.0, 50.0, 35.0, 28.0, 46.0, 38.0, 61.0, 77.0,
-                        50.0, 34.0, 26.0, 30.0, 26.0, 23.0, 51.0, 60.0, 75.0, 57.0])}
+                        50.0, 34.0, 26.0, 30.0, 26.0, 23.0, 51.0, 60.0, 75.0, 57.0]),
+ "k4cap2-static-even-4.0": (11918, "492625.0", 348, 220, [(0, 3000)],
+                            [744, 786, 766, 748, 755, 781, 766, 702, 742, 754, 757, 805,
+                             744, 775, 724, 735],
+                            [231, 226, 224, 226, 225, 229, 226, 225, 222, 227, 219, 220,
+                             228, 233, 230, 223, 225, 224, 224, 219, 219, 218, 213, 224,
+                             234, 237, 241, 239, 232, 230, 226, 228, 221, 225, 226, 226,
+                             223, 230, 235, 231, 222, 221, 217, 214, 208, 218, 223, 223,
+                             223, 220],
+                            [2736.0, 2703.0, 2612.0, 2669.0, 2667.0, 2637.0, 2635.0,
+                             2571.0, 2533.0, 2583.0, 2551.0, 2490.0, 2497.0, 2517.0,
+                             2550.0, 2504.0, 2524.0, 2529.0, 2440.0, 2403.0, 2381.0,
+                             2370.0, 2253.0, 2233.0, 2363.0, 2365.0, 2461.0, 2541.0,
+                             2519.0, 2571.0, 2592.0, 2583.0, 2530.0, 2496.0, 2531.0,
+                             2538.0, 2491.0, 2412.0, 2541.0, 2562.0, 2478.0, 2513.0,
+                             2449.0, 2386.0, 2288.0, 2352.0, 2425.0, 2439.0, 2463.0,
+                             2517.0])}
 
 
 def _golden_run(name):
@@ -552,6 +574,12 @@ def _golden_run(name):
         trees4 = flows.enumerate_aggregation_trees(k4)
         if name == "k4cap2-greedy-5.4":
             return wireless.run(k4, wired4, trees4, kth, lam=5.4, seed=7, horizon=3000)
+        if name == "k4cap2-static-even-4.0":
+            # Every tree carries rounds, so trees share each link's FIFO.
+            rule, _, _ = flows.optimal_sss(k4, wired4)
+            return wireless.run(k4, wired4, trees4, kth, lam=4.0, seed=9, horizon=3000,
+                                routing="fixed_split", scheduling="static_sss",
+                                split_weights=[1.0] * len(trees4), sss_rule=rule)
         rule, induced, _ = flows.optimal_sss(k4, wired4)
         packing = flows.tree_packing_lp(k4, induced, trees4)
         return wireless.run(k4, wired4, trees4, kth, lam=5.4, seed=8, horizon=3000,
