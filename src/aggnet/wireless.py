@@ -26,8 +26,8 @@ that key order is its position.  MaxWeight weighs every link at once with
 ``map(max, link_counts)`` into a list of weights by position, finds a
 link's maximizing tree with C-level ``count`` and ``index`` over its one
 list, and weighs each schedule from its (position, rate) pairs, built
-once by ``TreeIndex.schedule_positions``.  With a single schedule there
-is nothing to weigh.
+once per simulator together with its sends.  With a single schedule
+there is nothing to weigh.
 
 Each slot serves one list of (tree, link, packets) sends through one
 transfer loop.  MaxWeight sends from the maximizing tree of each
@@ -42,12 +42,12 @@ Per-round state is node-indexed lists: ``payloads`` (the aggregator
 holds the empty payload) and ``pending``, each node's count of children
 still to send, copied from the tree's template.
 
-Random draws are exact and inline.  Sensor values and the MaxWeight and
-greedy tie draws take ``getrandbits`` of the bound's bit length and draw
-again while the value is not below the bound, which is how
-``Random.randrange`` and ``Random.choice`` draw; so a run takes the same
-random bits, in the same order, as those calls would.  A tie among k
-trees walks to the drawn tied position without building a tie list.
+Sensor values are drawn inline and exactly: ``getrandbits`` of the
+alphabet's bit length, drawn again while the value is not below the
+alphabet size, which is how ``Random.randrange`` draws, so a run takes
+the same random bits, in the same order, as those calls would.  Ties
+among trees draw ``rng.randrange`` and index the drawn tie in place,
+without building a tie list.
 
 Useful queues are FIFO deques: each receives rounds in ascending round
 id.  A leaf receives them at placement, as ids are handed out; every
@@ -158,11 +158,19 @@ class TreeIndex:
     def __len__(self):
         return len(self.trees)
 
-    def schedule_positions(self, schedule_set: ScheduleSet):
-        """Per schedule, the (link position, rate) of each of its links that
-        some tree uses, in the schedule's link order."""
-        return [[(self.link_pos[l], s.rates[l]) for l in s.links if l in self.link_pos]
-                for s in schedule_set.schedules]
+
+def _schedule_positions(tix: TreeIndex, schedule_set: ScheduleSet):
+    """Per schedule, over its links that some tree uses in the schedule's
+    link order: the (link position, rate) pairs MaxWeight weighs, and the
+    (link position, link, whole-packet rate) sends of its links with a
+    positive whole rate."""
+    link_pos = tix.link_pos
+    weighing, sends = [], []
+    for s in schedule_set.schedules:
+        plan = [(link_pos[l], l, s.rates[l]) for l in s.links if l in link_pos]
+        weighing.append([(pos, rate) for pos, _, rate in plan])
+        sends.append([(pos, l, int(rate)) for pos, l, rate in plan if int(rate) > 0])
+    return weighing, sends
 
 
 def _integral_rates(ss: ScheduleSet):
@@ -193,12 +201,7 @@ def greedy_tree_load(tree_totals, rng: Random) -> int:
     ties = tree_totals.count(best)
     if ties == 1:
         return tree_totals.index(best)
-    # rng.randrange(ties), drawn inline
-    bits = ties.bit_length()
-    r = rng.getrandbits(bits)
-    while r >= ties:
-        r = rng.getrandbits(bits)
-    return _nth_index(tree_totals, best, r)
+    return _nth_index(tree_totals, best, rng.randrange(ties))
 
 
 def maxweight_schedule(schedule_positions, tree_index: TreeIndex, link_counts,
@@ -207,13 +210,12 @@ def maxweight_schedule(schedule_positions, tree_index: TreeIndex, link_counts,
 
     P_ij is the largest per-tree useful backlog at i over trees containing
     (i,j); `link_counts` holds those backlogs per link, aligned with
-    ``tree_index.trees_on_link``, and `schedule_positions` is
-    ``tree_index.schedule_positions(schedule_set)``.  Returns (schedule
-    index, maximizing tree per link position, None where the link has no
-    useful backlog).  Ties, both in the per-link tree and in the schedule,
-    are broken uniformly at random.
+    ``tree_index.trees_on_link``, and `schedule_positions` holds, per
+    schedule, the (link position, rate) of each of its links that some tree
+    uses.  Returns (schedule index, maximizing tree per link position, None
+    where the link has no useful backlog).  Ties, both in the per-link tree
+    and in the schedule, are broken uniformly at random.
     """
-    getrandbits = rng.getrandbits
     weights = list(map(max, link_counts))
     best_tree = []
     add = best_tree.append
@@ -225,15 +227,7 @@ def maxweight_schedule(schedule_positions, tree_index: TreeIndex, link_counts,
         if ties == 1:
             add(taus[col.index(w)])
             continue
-        # rng.randrange(ties), drawn inline, then a walk to that tie
-        bits = ties.bit_length()
-        r = getrandbits(bits)
-        while r >= ties:
-            r = getrandbits(bits)
-        pos = col.index(w)
-        for _ in range(r):
-            pos = col.index(w, pos + 1)
-        add(taus[pos])
+        add(taus[_nth_index(col, w, rng.randrange(ties))])
     if len(schedule_positions) == 1:
         return 0, best_tree
     best_total = None
@@ -249,15 +243,9 @@ def maxweight_schedule(schedule_positions, tree_index: TreeIndex, link_counts,
             best_scheds = [k]
         elif abs(total - best_total) <= 1e-12:
             best_scheds.append(k)
-    ties = len(best_scheds)
-    if ties == 1:
+    if len(best_scheds) == 1:
         return best_scheds[0], best_tree
-    # rng.choice(best_scheds), drawn inline
-    bits = ties.bit_length()
-    r = getrandbits(bits)
-    while r >= ties:
-        r = getrandbits(bits)
-    return best_scheds[r], best_tree
+    return rng.choice(best_scheds), best_tree
 
 
 def lyapunov_value(link_counts) -> float:
@@ -393,15 +381,7 @@ class WirelessSimulator:
         else:
             self._sss_cum = None
         tix = self.tix
-        # Per schedule, (link position, link, whole-packet rate) of each
-        # link it serves that some tree uses.
-        link_pos = tix.link_pos
-        self._sched_sends = [
-            [(link_pos[l], l, int(s.rates[l])) for l in s.links
-             if l in link_pos and int(s.rates[l]) > 0]
-            for s in schedule_set.schedules
-        ]
-        self._weighing = tix.schedule_positions(schedule_set)
+        self._weighing, self._sched_sends = _schedule_positions(tix, schedule_set)
 
         ntrees = len(tix)
         self._nsensors = len(g.sensors)
@@ -494,6 +474,8 @@ class WirelessSimulator:
         for pos, link, cap in self._sched_sends[sched_idx]:
             queues = link_queues[pos]
             if cap == 1:
+                # min over the queue heads runs in C; a merge generator per
+                # link per slot made the K5 static-sss point about 40% slower.
                 q = min(filter(None, queues), key=_head, default=None)
                 if q is not None:
                     sends.append((rounds[q[0]].tree, link, 1))

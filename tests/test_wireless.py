@@ -67,8 +67,8 @@ def link_counts(tix, per_tree):
 
 def maxweight(schedule_set, tix, counts, rng):
     """`maxweight_schedule` with its maximizing trees keyed by link."""
-    idx, best = wireless.maxweight_schedule(tix.schedule_positions(schedule_set), tix,
-                                            counts, rng)
+    weighing, _ = wireless._schedule_positions(tix, schedule_set)
+    idx, best = wireless.maxweight_schedule(weighing, tix, counts, rng)
     return idx, {link: t for link, t in zip(tix.trees_on_link, best) if t is not None}
 
 
