@@ -94,9 +94,25 @@ def make_kth(k, alphabet_size=16) -> FmuxFunction:
         return (x,) + (_PAD,) * (k - 1)
 
     def combine(p, q):
-        # Merge two descending top-k tuples; sentinels sink to the back.
-        merged = sorted(p + q, reverse=True)
-        return tuple(merged[:k])
+        # Merge two descending top-k tuples down to the k largest values;
+        # sentinels sink to the back.  Both inputs have k entries, so
+        # neither runs out before k values are taken.
+        out = []
+        i = j = 0
+        x, y = p[0], q[0]
+        while True:
+            if x >= y:
+                out.append(x)
+                i += 1
+                if i + j == k:
+                    return tuple(out)
+                x = p[i]
+            else:
+                out.append(y)
+                j += 1
+                if i + j == k:
+                    return tuple(out)
+                y = q[j]
 
     def finalize(p):
         return p[k - 1]

@@ -59,6 +59,17 @@ check; on acyclic graphs (where it is a sink) this changes nothing.  On
 cyclic graphs usefulness additionally requires the post-transfer
 footprint to stay valid, which the local conditions only guarantee for
 DAGs.
+
+One event loop, ``WirelineSimulator._loop``, holds the dynamics, and each
+rule is written there once: the completion of a transfer, the uniform
+draw on the link it frees, and the start of a transfer (for the drawn
+round, then for the changed round on its free ``avail`` links).  The
+busy-link mask, the heap's sequence counter and the tables the loop reads
+per event are locals of the loop, written back to the simulator when it
+returns.  A round's ``payloads`` is a list indexed by node and its
+``sensed`` a list in sensor order, so the oracle reads ``sensed`` as is.
+Manual stepping goes through the same loop: ``select_packet`` queues a
+draw on an idle link, due now, and runs the loop to now.
 """
 from __future__ import annotations
 
@@ -67,7 +78,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from heapq import heappop, heappush
 from itertools import repeat
-from math import log
+from math import inf, log
 from random import Random
 
 from .errors import BadParams, OracleMismatch
@@ -132,8 +143,8 @@ class _Round:
         self.origins = 0        # node bitmask: nodes transmitting this round
         self.edges = 0          # link bitmask: links carrying this round
         self.waiting = 0        # link bitmask: out-links of nodes awaiting a merge
-        self.payloads = payloads
-        self.sensed = sensed
+        self.payloads = payloads  # by node; read only for nodes in `fp`
+        self.sensed = sensed      # values in sensor order
         self.t_arrive = t_arrive
         self.contrib = None     # debug: node -> set of source nodes folded in
 
@@ -181,7 +192,6 @@ class WirelineSimulator:
         self.g = g
         self.lam = lam
         self.func = func
-        self._combine = func.combine
         self.rng = Random(seed)
         self.seed = seed
         self.debug = debug
@@ -285,48 +295,55 @@ class WirelineSimulator:
     # -- round creation -----------------------------------------------------
 
     def seed_round(self, values=None, footprint=None) -> int:
-        """Create an idle round directly (tests and manual stepping)."""
-        rid = self._make_round(values)
-        r = self._floating
+        """Create an idle round directly (tests and manual stepping).
+
+        `values` maps every sensor, and nothing else, to its value; without
+        it the values are drawn as for an arrival.
+        """
+        r = self._make_round(values)
         if footprint is not None:
             keep = 0
             for node in footprint:
                 keep |= 1 << node
             r.fp = keep
             r.avail = self._useful_memo[keep][1]
-            r.payloads = {i: p for i, p in r.payloads.items() if keep >> i & 1}
             if r.contrib is not None:
                 r.contrib = {i: s for i, s in r.contrib.items() if keep >> i & 1}
         self._park(r)
-        return rid
+        return r.rid
 
-    def _make_round(self, values=None) -> int:
+    def _make_round(self, values=None) -> _Round:
         f = self.func
         sensors = self._sensors
         if values is None:
             rng = self.rng
             bits = self._alphabet_bits
+            n = len(sensors)
             if bits:
-                draws = map(rng.getrandbits, repeat(bits, len(sensors)))
+                sensed = list(map(rng.getrandbits, repeat(bits, n)))
             elif bits == 0:
-                draws = repeat(0, len(sensors))
+                sensed = [0] * n
             else:
-                draws = map(rng.randrange, repeat(f.alphabet_size, len(sensors)))
-            values = dict(zip(sensors, draws))
+                sensed = list(map(rng.randrange, repeat(f.alphabet_size, n)))
         else:
-            values = {i: f.check_value(x) for i, x in dict(values).items()}
-        payloads = dict(zip(values, map(f.lift, values.values())))
-        payloads[self.a] = f.empty_payload
+            values = dict(values)
+            if values.keys() != self._sensor_set:
+                raise BadParams(
+                    f"values must give exactly the sensors {sensors}, "
+                    f"got nodes {sorted(values)}"
+                )
+            sensed = [f.check_value(values[i]) for i in sensors]
+        payloads = list(map(f.lift, sensed))
+        payloads.insert(self.a, f.empty_payload)
         rid = self._next_rid
         self._next_rid += 1
         fp = self.full_mask
-        r = _Round(rid, fp, self._useful_memo[fp][1], payloads, values, self.now)
+        r = _Round(rid, fp, self._useful_memo[fp][1], payloads, sensed, self.now)
         if self.debug:
             r.contrib = {i: {i} for i in sensors}
             r.contrib[self.a] = set()
-        self._floating = r
         self.in_flight += 1
-        return rid
+        return r
 
     # -- idle classes -------------------------------------------------------
 
@@ -336,7 +353,8 @@ class WirelineSimulator:
         A new class is also entered in the index of every link it is useful
         on.  Classes enter and leave the per-link dicts exactly when they
         enter and leave `idle`, so each dict lists the link's useful classes
-        in `idle` order.
+        in `idle` order.  The event loop appends to an existing class itself
+        and calls this only to open a new one.
         """
         rounds = self.idle.get(r.fp)
         if rounds is not None:
@@ -347,149 +365,23 @@ class WirelineSimulator:
         for link_idx in self._useful_memo[r.fp][0]:
             by_link[link_idx][r.fp] = rounds
 
-    # -- transfers ----------------------------------------------------------
-
-    def _start(self, link_idx, r):
-        """Start a transfer of round `r`, which must be eligible, on the link."""
-        bit = 1 << link_idx
-        _u, v, ub, _vb = self._link_ends[link_idx]
-        self.active[r.rid] = r
-        origins = r.origins = r.origins | ub
-        r.edges |= bit
-        waiting = r.waiting = r.waiting | self._out_links[v]
-        r.avail = self._useful_memo[r.fp & ~origins][1] & ~waiting
-        self.busy[link_idx] = r
-        self.busy_mask |= bit
-        self._seq += 1
-        heappush(self._heap, (
-            self.now - log(1.0 - self.rng.random()) / self.link_rate[link_idx],
-            self._seq, link_idx))
+    # -- event loop ---------------------------------------------------------
 
     def select_packet(self, link) -> int | None:
         """Uniform choice over all useful packets across an idle link.
 
         Starts the transfer and returns the round id, or returns None and
-        leaves the link idle when nothing is useful.  Idle rounds are drawn
-        through their footprint-class counts; active rounds individually.
+        leaves the link idle when nothing is useful.  The choice is the
+        event loop's draw: an event on an idle link, due now.
         """
         link_idx = self.links.index(tuple(link)) if not isinstance(link, int) else link
         if self.busy[link_idx] is not None or self.link_rate[link_idx] <= 0:
             return None
-        return self._full_select(link_idx, None)
-
-    def _full_select(self, link_idx, extra):
-        """Draw one useful packet across an idle, live link and start it.
-
-        The candidates are, in order, the rounds of the link's idle classes,
-        the active rounds eligible on it, and `extra`, a round between an
-        event and its parking, when eligible.  The pick is drawn the way
-        ``Random.randrange(total)`` draws it (``getrandbits`` of the bit
-        length of `total`, redrawn until below `total`), and the transit
-        time the way ``Random.expovariate`` does, ``-log(1 - random()) /
-        rate``, so the run takes the same random bits in the same order as
-        those calls would.
-        """
-        bit = 1 << link_idx
-        classes = self._idle_by_link[link_idx]
-        n_idle = sum(map(len, classes.values()))
-        actives = [r for r in self.active.values() if r.avail & bit]
-        if extra is not None and extra.avail & bit:
-            actives.append(extra)
-        total = n_idle + len(actives)
-        if not total:
-            return None
-        getrandbits = self.rng.getrandbits
-        k = total.bit_length()
-        pick = getrandbits(k)
-        while pick >= total:
-            pick = getrandbits(k)
-        if pick >= n_idle:
-            r = actives[pick - n_idle]
-        else:
-            for fp, rounds in classes.items():
-                count = len(rounds)
-                if pick < count:
-                    break
-                pick -= count
-            r = rounds[pick]
-            rounds[pick] = rounds[-1]
-            rounds.pop()
-            if not rounds:
-                del self.idle[fp]
-                by_link = self._idle_by_link
-                for li in self._useful_memo[fp][0]:
-                    del by_link[li][fp]
-        self._start(link_idx, r)
-        return r.rid
-
-    # -- completion ---------------------------------------------------------
-
-    def complete_transfer(self, link_idx):
-        """Apply the completion of the transfer currently on the link."""
+        self._seq += 1
+        heappush(self._heap, (self.now, self._seq, link_idx))
+        self._loop(self.now)
         r = self.busy[link_idx]
-        if r is None:
-            raise BadParams(f"link {self.links[link_idx]} is idle")
-        self.busy[link_idx] = None
-        bit = 1 << link_idx
-        self.busy_mask ^= bit
-        u, v, ub, vb = self._link_ends[link_idx]
-
-        edges = r.edges = r.edges ^ bit
-        origins = r.origins = r.origins ^ ub
-        if not edges & self._in_links[v]:
-            r.waiting &= ~self._out_links[v]
-        payloads = r.payloads
-        payload = payloads.pop(u)
-        fp = r.fp = r.fp & ~ub
-        if fp & vb:
-            payloads[v] = self._combine(payloads[v], payload)
-        else:
-            # Receiver forwarded its own packet mid-transfer; the arriving
-            # packet re-establishes it in the footprint.
-            fp = r.fp = fp | vb
-            payloads[v] = payload
-            self.metrics.reestablished += 1
-        if self.debug:
-            moved = r.contrib.pop(u)
-            into = r.contrib.setdefault(v, set())
-            if into & moved:
-                raise AssertionError(
-                    f"round {r.rid}: sources {into & moved} folded twice at node {v}"
-                )
-            into.update(moved)
-            if not self._valid_memo[fp]:
-                raise AssertionError(
-                    f"round {r.rid}: footprint {fp:b} invalid after ({u},{v})"
-                )
-            if set(payloads) != {i for i in range(self.g.n) if fp >> i & 1}:
-                raise AssertionError(f"round {r.rid}: payload keys drifted from footprint")
-
-        if fp == self.a_bit:
-            self._finish_round(r)
-            return None
-        r.avail = self._useful_memo[fp & ~origins][1] & ~r.waiting
-        if edges:
-            return r
-        del self.active[r.rid]
-        return r  # floating; caller reinserts after the activity pass
-
-    def _finish_round(self, r):
-        f = self.func
-        got = f.finalize(r.payloads[self.a])
-        expected = f.direct([r.sensed[i] for i in self._sensors])
-        if got != expected:
-            raise OracleMismatch(r.rid, got, expected)
-        if self.debug and r.contrib[self.a] != self._sensor_set:
-            raise AssertionError(
-                f"round {r.rid}: contributors {r.contrib[self.a]} != sensor set"
-            )
-        del self.active[r.rid]
-        self.in_flight -= 1
-        m = self.metrics
-        m.completed += 1
-        m.latency_sum += self.now - r.t_arrive
-
-    # -- event loop ---------------------------------------------------------
+        return None if r is None else r.rid
 
     def run(self, horizon: float, sample_every: float = None,
             sample_footprint_classes: bool = False) -> WirelineMetrics:
@@ -501,71 +393,227 @@ class WirelineSimulator:
             raise BadParams(f"sample_every must be positive, got {sample_every}")
         track_classes = sample_footprint_classes and self.g.n <= 12
         m = self.metrics = WirelineMetrics(lam=self.lam, seed=self.seed, horizon=horizon)
-
-        heap = self._heap
-        random = self.rng.random
-        lam = self.lam
-        activity_pass = self._activity_pass
-        debug = self.debug
         self._seq += 1
-        heappush(heap, (-log(1.0 - random()) / lam, self._seq, -1))
-        next_sample = 0.0
-        events = 0
-
-        while heap:
-            t, _seq, link_idx = heap[0]
-            if t > horizon:
-                break
-            heappop(heap)
-            while next_sample <= t and next_sample <= horizon:
-                self._sample(m, next_sample, track_classes)
-                next_sample += sample_every
-            self.now = t
-            events += 1
-
-            if link_idx < 0:
-                self._make_round()
-                r = self._floating
-                activity_pass(r, None)
-                self._seq += 1
-                heappush(heap, (t - log(1.0 - random()) / lam, self._seq, -1))
-                if self.in_flight > m.max_in_flight:
-                    m.max_in_flight = self.in_flight
-            else:
-                r = self.complete_transfer(link_idx)
-                activity_pass(r, link_idx)
-            if r is not None and not r.edges:
-                self._park(r)
-
-            if debug:
-                self._assert_activity_condition()
-
-        m.events = events
+        heappush(self._heap, (-log(1.0 - self.rng.random()) / self.lam, self._seq, -1))
+        next_sample = self._loop(horizon, sample_every, track_classes)
         while next_sample <= horizon:
             self._sample(m, next_sample, track_classes)
             next_sample += sample_every
         m.final_in_flight = self.in_flight
         return m
 
-    def _activity_pass(self, changed, freed):
-        """Restore the work-conservation condition after one event.
+    def _loop(self, until, sample_every=None, track_classes=False):
+        """Process, in time order, every event due by time `until`.
 
-        Any link that was already idle had no useful packets before the
-        event, so the only round it may newly serve is the changed one, and
-        only on the idle links in its `avail` mask, taken in ascending
-        order; the freed link instead needs a full uniform selection over
-        everything.
+        An event is an arrival (link -1), a completion on a busy link, or a
+        draw on an idle one (a completion frees its link, so a draw follows
+        every completion).  The draw picks uniformly over the packets useful
+        on the link: the rounds of its idle classes, the active rounds whose
+        ``avail`` has its bit, and the changed round when it has no transfer
+        left.  The drawn round starts on the link; then the changed round
+        starts on its free ``avail`` links, lowest link first.  Any link
+        that was idle before the event had nothing useful, so only these
+        starts can restore work conservation.
+
+        The pick is drawn the way ``Random.randrange(total)`` draws it
+        (``getrandbits`` of the bit length of `total`, redrawn until below
+        `total`), and each transit time the way ``Random.expovariate`` does,
+        ``-log(1 - random()) / rate``; an arrival draws the next arrival
+        after its starts.  A run thus takes the same random bits in the
+        same order as those calls would.
+
+        With `sample_every`, samples from time 0 on; returns the time of
+        the next sample.
         """
-        if freed is not None:
-            self._full_select(freed, changed if changed is not None
-                              and not changed.edges else None)
-        if changed is None:
-            return
-        r = changed
-        free = r.avail & ~self.busy_mask
-        while free:
-            self._start((free & -free).bit_length() - 1, r)
-            free = r.avail & ~self.busy_mask
+        heap = self._heap
+        busy = self.busy
+        active = self.active
+        idle = self.idle
+        idle_by_link = self._idle_by_link
+        useful = self._useful_memo
+        link_ends = self._link_ends
+        link_rate = self.link_rate
+        in_links = self._in_links
+        out_links = self._out_links
+        combine = self.func.combine
+        getrandbits = self.rng.getrandbits
+        random = self.rng.random
+        make_round = self._make_round
+        park = self._park
+        lam = self.lam
+        a_bit = self.a_bit
+        debug = self.debug
+        m = self.metrics
+        busy_mask = self.busy_mask
+        seq = self._seq
+        events = 0
+        next_sample = 0.0 if sample_every else inf
+
+        while heap:
+            t, _seq, link_idx = heap[0]
+            if t > until:
+                break
+            heappop(heap)
+            while next_sample <= t:
+                self._sample(m, next_sample, track_classes)
+                next_sample += sample_every
+            self.now = t
+            events += 1
+
+            # The event: `r` is the round it changed, if any is left.
+            if link_idx < 0:
+                r = make_round()
+            else:
+                bit = 1 << link_idx
+                r = busy[link_idx]
+                if r is not None:
+                    busy[link_idx] = None
+                    busy_mask ^= bit
+                    u, v, ub, vb = link_ends[link_idx]
+                    edges = r.edges = r.edges ^ bit
+                    origins = r.origins = r.origins ^ ub
+                    if not edges & in_links[v]:
+                        r.waiting &= ~out_links[v]
+                    payloads = r.payloads
+                    fp = r.fp & ~ub
+                    if fp & vb:
+                        payloads[v] = combine(payloads[v], payloads[u])
+                    else:
+                        # Receiver forwarded its own packet mid-transfer; the
+                        # arriving packet re-establishes it in the footprint.
+                        fp |= vb
+                        payloads[v] = payloads[u]
+                        m.reestablished += 1
+                    r.fp = fp
+                    if debug:
+                        self._check_completion(r, u, v)
+                    if fp == a_bit:
+                        self._finish_round(r)
+                        r = None
+                    else:
+                        r.avail = useful[fp & ~origins][1] & ~r.waiting
+                        if not edges:
+                            del active[r.rid]
+            if debug:
+                self._assert_idle_index()
+
+            # The draw on the freed link.  A pick indexes the rounds of the
+            # link's idle classes, then the eligible active rounds, then the
+            # changed round when it has no transfer left.
+            free = 0
+            if link_idx >= 0:
+                classes = idle_by_link[link_idx]
+                n_idle = sum(map(len, classes.values()))
+                total = n_idle
+                for s in active.values():
+                    if s.avail & bit:
+                        total += 1
+                if r is not None and not r.edges and r.avail & bit:
+                    total += 1
+                if total:
+                    k = total.bit_length()
+                    pick = getrandbits(k)
+                    while pick >= total:
+                        pick = getrandbits(k)
+                    if pick >= n_idle:
+                        pick -= n_idle
+                        for s in active.values():
+                            if s.avail & bit:
+                                if not pick:
+                                    break
+                                pick -= 1
+                        else:
+                            s = r
+                    else:
+                        for fp, rounds in classes.items():
+                            count = len(rounds)
+                            if pick < count:
+                                break
+                            pick -= count
+                        s = rounds[pick]
+                        rounds[pick] = rounds[-1]
+                        rounds.pop()
+                        if not rounds:
+                            del idle[fp]
+                            for li in useful[fp][0]:
+                                del idle_by_link[li][fp]
+                    free = bit
+            if not free and r is not None:
+                s = r
+                free = r.avail & ~busy_mask
+
+            # The starts: round `s` on the lowest link of `free`, then the
+            # changed round on its free `avail` links.
+            while free:
+                lsb = free & -free
+                li = lsb.bit_length() - 1
+                _u, v, ub, _vb = link_ends[li]
+                active[s.rid] = s
+                origins = s.origins = s.origins | ub
+                s.edges |= lsb
+                waiting = s.waiting = s.waiting | out_links[v]
+                s.avail = useful[s.fp & ~origins][1] & ~waiting
+                busy[li] = s
+                busy_mask |= lsb
+                seq += 1
+                heappush(heap, (t - log(1.0 - random()) / link_rate[li], seq, li))
+                if r is None:
+                    break
+                s = r
+                free = r.avail & ~busy_mask
+
+            if link_idx < 0:
+                seq += 1
+                heappush(heap, (t - log(1.0 - random()) / lam, seq, -1))
+                if self.in_flight > m.max_in_flight:
+                    m.max_in_flight = self.in_flight
+            if r is not None and not r.edges:
+                rounds = idle.get(r.fp)
+                if rounds is None:
+                    park(r)
+                else:
+                    rounds.append(r)
+
+            if debug:
+                self.busy_mask = busy_mask
+                self._assert_activity_condition()
+
+        self.busy_mask = busy_mask
+        self._seq = seq
+        m.events += events
+        return next_sample
+
+    def _check_completion(self, r, u, v):
+        """Debug: the completion of `r` on (u, v) folded each source in once."""
+        moved = r.contrib.pop(u)
+        into = r.contrib.setdefault(v, set())
+        if into & moved:
+            raise AssertionError(
+                f"round {r.rid}: sources {into & moved} folded twice at node {v}"
+            )
+        into.update(moved)
+        if not self._valid_memo[r.fp]:
+            raise AssertionError(
+                f"round {r.rid}: footprint {r.fp:b} invalid after ({u},{v})"
+            )
+        if set(r.contrib) != {i for i in range(self.g.n) if r.fp >> i & 1}:
+            raise AssertionError(f"round {r.rid}: packet holders drifted from footprint")
+
+    def _finish_round(self, r):
+        f = self.func
+        got = f.finalize(r.payloads[self.a])
+        expected = f.direct(r.sensed)
+        if got != expected:
+            raise OracleMismatch(r.rid, got, expected)
+        if self.debug and r.contrib[self.a] != self._sensor_set:
+            raise AssertionError(
+                f"round {r.rid}: contributors {r.contrib[self.a]} != sensor set"
+            )
+        del self.active[r.rid]
+        self.in_flight -= 1
+        m = self.metrics
+        m.completed += 1
+        m.latency_sum += self.now - r.t_arrive
 
     def _assert_idle_index(self):
         """Each link's index holds its useful idle classes, in `idle` order."""

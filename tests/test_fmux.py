@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aggnet import fmux
 from aggnet.checks import check_divisible, lift_and_combine, offline_evaluate
@@ -68,6 +70,21 @@ def test_combine_commutative_associative():
             a, b, c = (f.lift(rng.randrange(f.alphabet_size)) for _ in range(3))
             assert f.combine(a, b) == f.combine(b, a)
             assert f.combine(f.combine(a, b), c) == f.combine(a, f.combine(b, c))
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(1, 4), data=st.data())
+def test_kth_combine_equals_sorted_merge(k, data):
+    # Payloads are descending top-k tuples, padded at the back when fewer
+    # than k values have been merged; pad-only payloads included.
+    f = fmux.make_kth(k, 16)
+
+    def payload():
+        values = data.draw(st.lists(st.integers(0, 15), max_size=k))
+        return (tuple(sorted(values, reverse=True)) + f.empty_payload)[:k]
+
+    p, q = payload(), payload()
+    assert f.combine(p, q) == tuple(sorted(p + q, reverse=True)[:k])
 
 
 def test_payload_size_constant():

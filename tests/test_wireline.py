@@ -128,15 +128,21 @@ def test_select_uniform_over_idle_and_active(triangle):
 # completion dynamics
 # ---------------------------------------------------------------------------
 
+def step(sim):
+    """Run the next event: a completion, the draw on its link and the starts."""
+    sim._loop(sim._heap[0][0])
+
+
 def test_two_node_round_completes():
     g = graph.build_graph(2, 0, [(1, 0)], 1.0)
     f = fmux.make_parity()
     sim = make_sim(g, func=f, debug=True)
     sim.seed_round(values={1: 1})
     assert sim.select_packet((1, 0)) is not None
-    sim.complete_transfer(sim.links.index((1, 0)))
+    step(sim)
     assert sim.metrics.completed == 1
     assert sim.in_flight == 0
+    assert not sim.active and not sim.idle and not sim._heap
 
 
 def test_triangle_merge_hand_trace(triangle):
@@ -145,24 +151,40 @@ def test_triangle_merge_hand_trace(triangle):
     rid = sim.seed_round(values={1: 1, 2: 1})
     assert sim.select_packet((2, 1)) == rid
     r = sim.active[rid]
-    li = sim.links.index((2, 1))
-    out = sim.complete_transfer(li)
-    assert out is r
+    step(sim)
     assert r.fp == 0b011  # footprint {0, 1}
     assert r.payloads[1] == 0  # 1 xor 1 merged at node 1
-    assert not r.edges
+    # (2, 1) has landed and nothing is useful on it; node 1 forwards at once.
+    assert r.edges == link_bit(sim, (1, 0))
+    assert sim.busy[sim.links.index((1, 0))] is r
+    assert sim.busy[sim.links.index((2, 1))] is None
 
 
 def test_concurrent_edges_shrink_independently(triangle):
-    sim = make_sim(triangle, debug=True)
+    # Not in debug mode: after the first selection the round is useful on
+    # the idle link (2, 0), which debug mode reports as a work-conservation
+    # breach; a run would have started it there in the same event.
+    sim = make_sim(triangle)
     rid = sim.seed_round()
     assert sim.select_packet((1, 0)) == rid
     assert sim.select_packet((2, 0)) == rid  # distinct origin, allowed
     r = sim.active[rid]
     assert r.edges.bit_count() == 2
-    sim.complete_transfer(sim.links.index((2, 0)))
-    assert r.edges.bit_count() == 1
-    assert sim.busy[sim.links.index((1, 0))] is r
+    first = sim._heap[0][2]
+    (other,) = {sim.links.index((1, 0)), sim.links.index((2, 0))} - {first}
+    step(sim)
+    # The first landing leaves the other transfer running and starts nothing.
+    assert r.edges == 1 << other
+    assert sim.busy[other] is r
+    assert sim.busy[first] is None
+
+
+@pytest.mark.parametrize("values", [{1: 1}, {1: 1, 2: 0, 7: 1}])
+def test_seed_round_values_must_be_the_sensors(triangle, values):
+    sim = make_sim(triangle)
+    with pytest.raises(BadParams):
+        sim.seed_round(values=values)
+    assert sim.in_flight == 0 and not sim.idle
 
 
 def test_commitment_holds_block_racing_transfers(triangle):
@@ -291,6 +313,17 @@ GOLDEN = {
         349, 348, 349, 354, 350, 354, 357, 363, 368, 366, 370, 369, 373, 369, 369, 370,
         371, 369, 365, 366, 363, 367, 367, 368, 364, 362, 355, 354, 354, 350, 351, 350,
         354, 365]),
+    # Sensor draws by randrange (alphabet 10) and with no draw (alphabet 1).
+    "k5-max10": (32338, 6376, "106044.5125222413", 147, [
+        128, 125, 129, 128, 133, 132, 130, 127, 132, 132, 136, 137, 138, 141, 142, 146,
+        144, 141, 146, 142, 143, 141, 139, 140, 142, 143, 145, 142, 140, 139, 139, 143,
+        142, 145, 145, 144, 143, 139, 140, 137, 132, 129, 127, 125, 123, 120, 118, 114,
+        118, 118]),
+    "k5-max1": (35437, 6843, "336598.1061330659", 356, [
+        327, 326, 322, 318, 319, 314, 310, 310, 314, 316, 311, 308, 310, 311, 314, 314,
+        314, 315, 315, 315, 314, 313, 317, 319, 318, 320, 321, 319, 320, 320, 319, 315,
+        317, 314, 309, 306, 305, 310, 310, 310, 311, 310, 314, 312, 314, 309, 310, 312,
+        313, 314]),
 }
 
 
@@ -309,6 +342,10 @@ def _golden_run(name):
         g = graph.build_graph(3, 0, [(1, 0), (2, 0), (2, 1)],
                               {(1, 0): 1.0, (2, 0): 1.0, (2, 1): 0.0})
         return wireline.run(g, 0.5, fmux.make_parity(), seed=6, horizon=1000.0)
+    if name == "k5-max10":
+        return wireline.run(k5, 3.2, fmux.make_max(10), seed=3, horizon=2000.0)
+    if name == "k5-max1":
+        return wireline.run(k5, 3.6, fmux.make_max(1), seed=4, horizon=2000.0)
     return wireline.run(k5, 3.6, fmux.make_kth(2, 16), seed=2, horizon=3000.0)
 
 
@@ -319,28 +356,18 @@ def test_seeded_runs_match_recorded_output(name):
     assert got == GOLDEN[name]
 
 
-class _IndexChecked(WirelineSimulator):
-    """Checks the per-link index of idle classes between every two events.
-
-    An activity pass starts after an event has changed one round and before
-    any idle class moves, so at that point the index must match `idle`.
-    Debug mode adds the checks after every event.
-    """
-
-    def _activity_pass(self, changed, freed):
-        self._assert_idle_index()
-        super()._activity_pass(changed, freed)
-
-
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(3, 10), seed=st.integers(0, 10_000), lo=st.sampled_from([0, 1]),
        load=st.floats(0.5, 0.9))
 def test_idle_index_matches_idle_classes_on_random_dag(n, seed, lo, load):
-    # A zero low end of the capacity range gives some links rate 0.
+    # Debug mode checks the per-link index of idle classes against `idle`
+    # between every event and its draw, before any idle class moves, and
+    # again after every event.  A zero low end of the capacity range gives
+    # some links rate 0.
     g = graph.generate("random_dag", n=n, seed=seed, cap_range=(lo, 4))
     cut, _ = flows.min_mincut(g, g.capacity)
     assume(cut > 0)
-    sim = _IndexChecked(g, load * cut, fmux.make_parity(), seed, debug=True)
+    sim = WirelineSimulator(g, load * cut, fmux.make_parity(), seed, debug=True)
     m = sim.run(100.0)
     sim._assert_idle_index()
     assert m.events > 0
