@@ -407,13 +407,15 @@ class WirelineSimulator:
 
         An event is an arrival (link -1), a completion on a busy link, or a
         draw on an idle one (a completion frees its link, so a draw follows
-        every completion).  The draw picks uniformly over the packets useful
-        on the link: the rounds of its idle classes, the active rounds whose
-        ``avail`` has its bit, and the changed round when it has no transfer
-        left.  The drawn round starts on the link; then the changed round
-        starts on its free ``avail`` links, lowest link first.  Any link
-        that was idle before the event had nothing useful, so only these
-        starts can restore work conservation.
+        every completion).  Only `select_packet`, for manual stepping,
+        queues an event on an idle link; a run queues none.  The draw picks
+        uniformly over the packets useful on the link: the rounds of its
+        idle classes, the active rounds whose ``avail`` has its bit, and the
+        changed round when it has no transfer left.  The drawn round starts
+        on the link; then the changed round starts on its free ``avail``
+        links, lowest link first.  Any link that was idle before the event
+        had nothing useful, so only these starts can restore work
+        conservation.
 
         The pick is drawn the way ``Random.randrange(total)`` draws it
         (``getrandbits`` of the bit length of `total`, redrawn until below
