@@ -463,6 +463,45 @@ GOLDEN = {"k5-greedy-3.6": (10527, "795846.0", 706, 489, [(0, 3000)],
                            28900, 28902, 28900, 29244, 28900, 28562, 28226, 28562,
                            28900, 28902, 29242, 29071, 29759, 30103, 30103, 29930,
                            29757, 29584]),
+ "k5-greedy-deterministic-3.6": (10609, "538118.0", 393, 341,
+                                 [(0, 3000)],
+                                 [10, 10, 17, 12, 12, 33, 35, 8, 18, 36, 11, 52, 11, 29,
+                                  31, 11, 17, 20, 32, 20, 139, 156, 149, 19, 157, 147,
+                                  114, 32, 161, 128, 10, 28, 27, 26, 23, 152, 140, 161,
+                                  35, 135, 15, 11, 19, 26, 173, 157, 10, 133, 21, 125,
+                                  14, 37, 11, 23, 8, 156, 160, 140, 19, 168, 153, 153,
+                                  18, 147, 178, 24, 135, 154, 150, 138, 29, 134, 124,
+                                  162, 176, 10, 11, 27, 25, 23, 134, 141, 166, 6, 128,
+                                  34, 151, 145, 168, 144, 18, 180, 146, 172, 150, 3,
+                                  152, 157, 140, 155, 15, 19, 21, 10, 137, 28, 145, 149,
+                                  18, 134, 30, 156, 169, 147, 162, 26, 121, 151, 130,
+                                  155, 30, 123, 138, 161, 174],
+                                 [324, 326, 322, 322, 322, 319, 321, 320, 324, 328, 326,
+                                  328, 325, 329, 332, 330, 331, 328, 329, 330, 327, 328,
+                                  326, 328, 331, 329, 331, 329, 330, 332, 330, 333, 331,
+                                  335, 337, 336, 337, 334, 336, 338, 336, 338, 337, 337,
+                                  340, 338, 339, 336, 339, 341],
+                                 [294.0, 301.0, 305.0, 325.0, 319.0, 316.0, 340.0,
+                                  326.0, 316.0, 327.0, 318.0, 322.0, 312.0, 319.0,
+                                  320.0, 316.0, 310.0, 305.0, 307.0, 295.0, 300.0,
+                                  306.0, 293.0, 307.0, 309.0, 304.0, 307.0, 306.0,
+                                  311.0, 327.0, 314.0, 318.0, 310.0, 312.0, 328.0,
+                                  316.0, 328.0, 321.0, 322.0, 321.0, 320.0, 313.0,
+                                  308.0, 307.0, 306.0, 305.0, 304.0, 311.0, 327.0,
+                                  313.0]),
+ "channel3-bernoulli2-greedy-0.45": (1316, "16369.0", 34, 20,
+                                     [(0, 1424), (1, 762), (2, 814)],
+                                     [642, 686],
+                                     [1, 4, 3, 2, 5, 8, 7, 6, 5, 8, 7, 6, 5, 4, 3, 2, 5,
+                                      4, 3, 2, 5, 8, 7, 6, 5, 4, 3, 6, 9, 8, 11, 14, 13,
+                                      16, 15, 14, 17, 16, 15, 14, 17, 16, 15, 18, 17,
+                                      20, 19, 22, 21, 20],
+                                     [1.0, 6.0, 3.0, 2.0, 4.0, 10.0, 7.0, 7.0, 4.0,
+                                      10.0, 12.0, 7.0, 4.0, 3.0, 2.0, 1.0, 6.0, 3.0,
+                                      2.0, 2.0, 9.0, 10.0, 10.0, 7.0, 4.0, 3.0, 5.0,
+                                      12.0, 18.0, 13.0, 21.0, 38.0, 31.0, 43.0, 36.0,
+                                      31.0, 50.0, 43.0, 36.0, 38.0, 61.0, 52.0, 45.0,
+                                      59.0, 50.0, 75.0, 66.0, 82.0, 73.0, 64.0]),
  "k5-debug-4.0": (2625, "206387.0", 959, 895, [(0, 800)],
                   [5, 5, 5, 4, 9, 8, 13, 16, 14, 22, 15, 9, 7, 10, 8, 8, 13, 18, 10, 12,
                    50, 25, 37, 16, 50, 45, 34, 12, 31, 29, 11, 10, 10, 8, 6, 36, 37, 43,
@@ -548,6 +587,9 @@ def _golden_run(name):
         lam = 3.6 if name.endswith("3.6") else 4.4
         return wireless.run(k5, wired, flows.enumerate_aggregation_trees(k5), kth,
                             lam=lam, seed=1, horizon=3000)
+    if name == "k5-greedy-deterministic-3.6":
+        return wireless.run(k5, wired, flows.enumerate_aggregation_trees(k5), kth,
+                            lam=3.6, seed=10, horizon=3000, arrival_law="deterministic")
     if name == "k5-star-1.1":
         star = flows.AggregationTree.from_parent_map({1: 0, 2: 0, 3: 0, 4: 0})
         return wireless.run(k5, wired, [star], kth, lam=1.1, seed=2, horizon=3000,
@@ -592,6 +634,11 @@ def _golden_run(name):
     if name == "channel3-greedy-0.55":
         return wireless.run(g3, shared, trees3, fmux.make_parity(), lam=0.55, seed=4,
                             horizon=6000)
+    if name == "channel3-bernoulli2-greedy-0.45":
+        # Two rounds arrive together with probability 0.225 per slot.
+        return WirelessSimulator(g3, shared, trees3, fmux.make_parity(),
+                                 ArrivalProcess("bernoulli_batch", 0.45, batch=2),
+                                 seed=11).run(3000)
     # debug: every slot checks the queue bookkeeping and each round's links
     return wireless.run(k5, wired, flows.enumerate_aggregation_trees(k5), kth,
                         lam=4.0, seed=5, horizon=800, debug=True)
