@@ -243,7 +243,7 @@ class AggregationTree:
 
     def validate(self, g: NetworkGraph):
         pm = self.parent_map
-        if len(self.parent) != len(pm) or sorted(pm) != g.sensors:
+        if len(self.parent) != len(pm) or tuple(sorted(pm)) != g.sensors:
             raise BadParams("tree must assign a parent to every non-aggregator node")
         for i, p in pm.items():
             if (i, p) not in g.capacity:
@@ -468,6 +468,11 @@ def optimal_sss(g: NetworkGraph, schedule_set: ScheduleSet):
     rate vector.  Each sensor's flow sees the full induced capacity (cuts
     bound sensors separately).  Returns (SSSRule, induced RateVector, lam).
     """
+    return _optimal_sss(g, schedule_set)[:3]
+
+
+def _optimal_sss(g: NetworkGraph, schedule_set: ScheduleSet):
+    """optimal_sss's result plus the argmin node of its min-mincut check."""
     schedule_set.validate_links(g)
     schedules = list(schedule_set.schedules)
     n_sched = len(schedules)
@@ -535,13 +540,13 @@ def optimal_sss(g: NetworkGraph, schedule_set: ScheduleSet):
     lam = float(res.x[-1])
 
     # The returned lam must equal the min-mincut under the induced rates.
-    check, _ = min_mincut(g, induced)
+    check, node = min_mincut(g, induced)
     if abs(check - lam) > 1e-6 * max(1.0, abs(lam)):
         raise LPNumericalFailure(
             "service split optimum disagrees with the induced min-mincut",
             {"lp_value": lam, "min_mincut": check},
         )
-    return rule, induced, lam
+    return rule, induced, lam, node
 
 
 # ---------------------------------------------------------------------------
@@ -573,8 +578,7 @@ def analyze(g: NetworkGraph, schedule_set: ScheduleSet = None, trees=None) -> An
         rule, rates = None, g.capacity
         delta_star, node = min_mincut(g, rates)
     else:
-        rule, rates, delta_star = optimal_sss(g, schedule_set)
-        _, node = min_mincut(g, rates)
+        rule, rates, delta_star, node = _optimal_sss(g, schedule_set)
     _, side = max_flow(g, rates, node, g.aggregator)
     cut = tuple(sorted(l for l in g.links if l[0] in side and l[1] not in side))
     packing = None if trees is None else tree_packing_lp(g, rates, trees)

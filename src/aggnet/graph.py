@@ -35,15 +35,16 @@ class NetworkGraph:
     capacity: dict[Link, float]
     out_neighbors: tuple[tuple[int, ...], ...] = field(repr=False)
     in_neighbors: tuple[tuple[int, ...], ...] = field(repr=False)
+    # All nodes except the aggregator, ascending; derived, so set once here.
+    sensors: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "sensors",
+                           tuple(i for i in range(self.n) if i != self.aggregator))
 
     @property
     def nodes(self):
         return range(self.n)
-
-    @property
-    def sensors(self):
-        """All nodes except the aggregator."""
-        return [i for i in range(self.n) if i != self.aggregator]
 
     def is_acyclic(self):
         try:

@@ -22,32 +22,43 @@ per round with given weights, the static-packing construction), and
 Queue lengths are kept link-major.  The useful queue of tree t at sensor
 i feeds exactly one link, (i, parent_t(i)), so ``link_counts`` holds one
 list per link, aligned with ``TreeIndex.trees_on_link``; a link's place in
-that key order is its position.  MaxWeight weighs every link at once with
-``map(max, link_counts)`` into a list of weights by position, finds a
-link's maximizing tree with C-level ``count`` and ``index`` over its one
-list, and weighs each schedule from its (position, rate) pairs, built
-once per simulator together with its sends.  With a single schedule
-there is nothing to weigh.
+that key order is its position.  Under MaxWeight the slot loop also keeps,
+per link position, the largest count in its column and how many trees
+reach it.  A change of one packet costs O(1), except that taking one
+packet from a link's only maximum counts the value one lower in C; only a
+multi-packet send from the only maximum rescans the column.
+``maxweight_schedule`` reads these maxima: it finds every untied link's
+maximizing tree with C-level ``list.index``, draws each tie in place, and
+weighs each schedule from its (position, rate) pairs, built once per
+simulator together with its sends.  With a single schedule there is
+nothing to weigh.
 
-Each slot serves one list of (tree, link, packets) sends through one
-transfer loop.  MaxWeight sends from the maximizing tree of each
-scheduled link.  Static-sss plans its sends from each scheduled link's
-queue heads in round-id order before any packet moves: a transfer only
-pops a queue head, the queues of different links are disjoint, and a
-round made ready by a transfer joins its next queue only after every
-transfer of the slot, so the plan serves the same rounds as serving one
-packet at a time.
+One private loop, ``_loop``, holds the slot dynamics: arrivals, routing,
+placement, schedule choice, transfers, readiness, completions and
+sampling, with the totals, the slot and the next round id in locals;
+``step`` runs one slot of it.  A slot first pops every packet its
+schedule serves, then moves each across its link.  MaxWeight takes them
+from the maximizing tree of each scheduled link, a rate-1 link by popping
+that queue's head.  Static-sss serves each scheduled link's queue heads in
+round-id order (``min`` at rate 1, a merge above).  A transfer only pops
+a queue head, the queues of different links are disjoint, and a round
+made ready by a transfer joins its next queue only after every transfer
+of the slot, so this serves the same rounds as serving one packet at a
+time.
 
 Per-round state is node-indexed lists: ``payloads`` (the aggregator
 holds the empty payload) and ``pending``, each node's count of children
 still to send, copied from the tree's template.
 
-Sensor values are drawn inline and exactly: ``getrandbits`` of the
-alphabet's bit length, drawn again while the value is not below the
-alphabet size, which is how ``Random.randrange`` draws, so a run takes
-the same random bits, in the same order, as those calls would.  Ties
-among trees draw ``rng.randrange`` and index the drawn tie in place,
-without building a tie list.
+Random draws are made inline and exactly.  Sensor values take
+``getrandbits`` of the alphabet's bit length, drawn again while the value
+is not below the alphabet size, which is how ``Random.randrange`` draws.
+A link's tie among n trees is drawn the same way, with the bit length of
+n, and indexes the drawn tie in place, without building a tie list.
+Poisson arrivals multiply ``random()`` values (Knuth's method), and each
+fixed-split tree and static schedule takes one ``random()``.  A run thus
+takes the same random bits, in the same order, as calling ``randrange``
+for each value and tie would.
 
 Useful queues are FIFO deques: each receives rounds in ascending round
 id.  A leaf receives them at placement, as ids are handed out; every
@@ -64,8 +75,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from heapq import merge
-from itertools import islice, repeat
-from operator import itemgetter, mul
+from itertools import count, islice
+from operator import getitem, itemgetter, mul
 from random import Random
 
 from .errors import BadParams, MultiTreeConfig, OracleMismatch
@@ -98,18 +109,6 @@ class ArrivalProcess:
             raise BadParams(f"unknown arrival law {self.law!r}")
 
 
-def _draw_poisson(rng: Random, lam: float) -> int:
-    # Knuth's product method; lam stays small here.
-    limit = math.exp(-lam)
-    k = 0
-    p = 1.0
-    while True:
-        p *= rng.random()
-        if p <= limit:
-            return k
-        k += 1
-
-
 # ---------------------------------------------------------------------------
 # Tree plumbing
 # ---------------------------------------------------------------------------
@@ -118,7 +117,8 @@ class TreeIndex:
     """Link -> trees reverse index plus the per-tree cell tables.
 
     ``trees_on_link`` lists, per link, the trees using it in ascending
-    order; its key order fixes each link's position, ``link_pos[link]``.
+    order; its key order fixes each link's position, ``link_pos[link]``,
+    and ``link_trees`` holds the same lists by position.
     ``cell[t][i]`` is the (link position, position in
     ``trees_on_link[link]``) of tree t's useful queue at sensor i, whose
     link is (i, parent_t(i)), and None at the aggregator.  ``leaves[t]``
@@ -154,6 +154,7 @@ class TreeIndex:
             self.cell.append(cells)
             self.leaves.append([i for i in sensors if not children[i]])
             self.pending_template.append(children)
+        self.link_trees = list(self.trees_on_link.values())
 
     def __len__(self):
         return len(self.trees)
@@ -162,14 +163,14 @@ class TreeIndex:
 def _schedule_positions(tix: TreeIndex, schedule_set: ScheduleSet):
     """Per schedule, over its links that some tree uses in the schedule's
     link order: the (link position, rate) pairs MaxWeight weighs, and the
-    (link position, link, whole-packet rate) sends of its links with a
-    positive whole rate."""
+    (link position, i, j, whole-packet rate) sends of its links (i, j) with
+    a positive whole rate."""
     link_pos = tix.link_pos
     weighing, sends = [], []
     for s in schedule_set.schedules:
         plan = [(link_pos[l], l, s.rates[l]) for l in s.links if l in link_pos]
         weighing.append([(pos, rate) for pos, _, rate in plan])
-        sends.append([(pos, l, int(rate)) for pos, l, rate in plan if int(rate) > 0])
+        sends.append([(pos, *l, int(rate)) for pos, l, rate in plan if int(rate) > 0])
     return weighing, sends
 
 
@@ -205,29 +206,32 @@ def greedy_tree_load(tree_totals, rng: Random) -> int:
 
 
 def maxweight_schedule(schedule_positions, tree_index: TreeIndex, link_counts,
-                       rng: Random):
+                       maxima, ties, rng: Random):
     """Pick the admissible schedule maximizing sum of P_ij * c_ij.
 
     P_ij is the largest per-tree useful backlog at i over trees containing
-    (i,j); `link_counts` holds those backlogs per link, aligned with
-    ``tree_index.trees_on_link``, and `schedule_positions` holds, per
-    schedule, the (link position, rate) of each of its links that some tree
-    uses.  Returns (schedule index, maximizing tree per link position, None
-    where the link has no useful backlog).  Ties, both in the per-link tree
-    and in the schedule, are broken uniformly at random.
+    (i,j).  `link_counts` holds those backlogs per link position, aligned
+    with ``tree_index.link_trees``; `maxima` holds each column's largest
+    count and `ties` how often it occurs there.  `schedule_positions` holds,
+    per schedule, the (link position, rate) of each of its links that some
+    tree uses.  Returns (schedule index, maximizing tree per link position,
+    None where the link has no useful backlog).  Ties, both in the per-link
+    tree and in the schedule, are broken uniformly at random; a link's tie
+    is drawn as ``rng.randrange(ties)`` draws it.
     """
-    weights = list(map(max, link_counts))
-    best_tree = []
-    add = best_tree.append
-    for w, col, taus in zip(weights, link_counts, tree_index.trees_on_link.values()):
+    link_trees = tree_index.link_trees
+    best_tree = list(map(getitem, link_trees, map(list.index, link_counts, maxima)))
+    getrandbits = rng.getrandbits
+    for p, w, n in zip(count(), maxima, ties):
         if not w:
-            add(None)
-            continue
-        ties = col.count(w)
-        if ties == 1:
-            add(taus[col.index(w)])
-            continue
-        add(taus[_nth_index(col, w, rng.randrange(ties))])
+            best_tree[p] = None
+        elif n > 1:
+            k = n.bit_length()
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            if r:
+                best_tree[p] = link_trees[p][_nth_index(link_counts[p], w, r)]
     if len(schedule_positions) == 1:
         return 0, best_tree
     best_total = None
@@ -235,7 +239,7 @@ def maxweight_schedule(schedule_positions, tree_index: TreeIndex, link_counts,
     for k, plan in enumerate(schedule_positions):
         total = 0.0
         for p, rate in plan:
-            w = weights[p]
+            w = maxima[p]
             if w:
                 total += w * rate
         if best_total is None or total > best_total + 1e-12:
@@ -266,10 +270,6 @@ def _cumulative(weights):
         cum.append(acc)
     cum[-1] = 1.0
     return cum
-
-
-def _draw_categorical(rng: Random, cum) -> int:
-    return bisect_right(cum, rng.random())
 
 
 _head = itemgetter(0)
@@ -393,11 +393,19 @@ class WirelessSimulator:
                               iter(partial(self.rng.getrandbits,
                                            func.alphabet_size.bit_length()), -1))
         self.useful = [[deque() for _ in range(g.n)] for _ in range(ntrees)]
-        self.link_counts = [[0] * len(taus) for taus in tix.trees_on_link.values()]
-        # Per (tree, node): its useful queue, its link column and its
-        # position in that column (None at the aggregator).
+        self.link_counts = [[0] * len(taus) for taus in tix.link_trees]
+        # MaxWeight's inputs, kept up to date by the slot loop: per link
+        # position, the largest count in its column and how many trees
+        # reach it.  Static scheduling does not read them.
+        if scheduling == "maxweight":
+            self._maxima = [0] * len(tix.link_trees)
+            self._ties = [len(taus) for taus in tix.link_trees]
+        else:
+            self._maxima = self._ties = None
+        # Per (tree, node): its useful queue, its link column, its position
+        # in that column and the link's position (None at the aggregator).
         self._cells = [
-            [None if c is None else (queues[i], self.link_counts[c[0]], c[1])
+            [None if c is None else (queues[i], self.link_counts[c[0]], c[1], c[0])
              for i, c in enumerate(cells)]
             for queues, cells in zip(self.useful, tix.cell)
         ]
@@ -423,86 +431,162 @@ class WirelessSimulator:
             lam=arrivals.lam, seed=seed, horizon=0, tree_count=ntrees
         )
 
-    # -- arrivals and placement ---------------------------------------------
+    def step(self):
+        """Advance one slot."""
+        self._loop(1)
 
-    def _draw_arrivals(self) -> int:
-        a = self.arrivals
-        if a.lam == 0:
-            return 0
-        if a.law == "poisson":
-            return _draw_poisson(self.rng, a.lam)
-        if a.law == "bernoulli_batch":
-            return a.batch if self.rng.random() < a.lam / a.batch else 0
-        carry = self._arr_carry + a.lam
-        count = int(carry)
-        self._arr_carry = carry - count
-        return count
+    def _loop(self, slots, sample_every=0):
+        """Run `slots` slots, sampling every `sample_every`-th one (0: none).
 
-    def _place_rounds(self, trees):
-        """Place one new round on each tree index `trees` yields, in order."""
-        f = self.func
-        lift, values = f.lift, self._values
-        nsensors, aggregator, empty = self._nsensors, self._aggregator, f.empty_payload
-        templates, rounds, slot = self.tix.pending_template, self.rounds, self.slot
-        for tree_idx in trees:
-            rid = self._next_rid
-            self._next_rid += 1
-            sensed = list(islice(values, nsensors))
-            payloads = list(map(lift, sensed))
-            payloads.insert(aggregator, empty)
-            leaves = self._leaf_cells[tree_idx]
-            for q, col, pos in leaves:
-                q.append(rid)
-                col[pos] += 1
-            self.tree_totals[tree_idx] += len(leaves)
-            self.u_total += len(leaves)
-            self.nu_total += self._relays[tree_idx]
-            r = _WRound(rid, tree_idx, slot, payloads, templates[tree_idx].copy(), sensed)
-            if self.debug:
-                r.crossed = set()
-            rounds[rid] = r
-            self.assigned[tree_idx] += 1
-
-    # -- per-slot dynamics ----------------------------------------------------
-
-    def _fifo_sends(self, sched_idx):
-        """Static scheduling: each scheduled link's sends, one packet each,
-        from its trees' queue heads in global round-id order."""
-        sends = []
-        rounds = self.rounds
-        link_queues = self._link_queues
-        for pos, link, cap in self._sched_sends[sched_idx]:
-            queues = link_queues[pos]
-            if cap == 1:
-                # min over the queue heads runs in C; a merge generator per
-                # link per slot made the K5 static-sss point about 40% slower.
-                q = min(filter(None, queues), key=_head, default=None)
-                if q is not None:
-                    sends.append((rounds[q[0]].tree, link, 1))
-            else:
-                for rid in islice(merge(*filter(None, queues)), cap):
-                    sends.append((rounds[rid].tree, link, 1))
-        return sends
-
-    def _transfer(self, sends):
-        """Move each (tree, link, packets) send's rounds across its link.
-
-        Returns (rid, j) for each round whose last missing child packet
-        reached its receiver j, in transfer order.
+        A slot draws its arrivals and routes them (greedy reads the queues
+        as of the slot start), places each round on its tree's leaves,
+        picks a schedule and pops the packets it serves, moves them across
+        their links, then moves each round whose receiver has heard from
+        all its children to that receiver's useful queue, or completes it
+        at the aggregator, in round-id order.  Random bits go, in order, to
+        the arrival count, then per round to its fixed-split tree and its
+        sensor values, then to MaxWeight's ties or the static schedule.
+        Totals, the slot and the next round id are loop locals, written
+        back on exit.
         """
-        ready = []
-        rounds, combine, cells = self.rounds, self.func.combine, self._cells
-        tree_totals, debug = self.tree_totals, self.debug
-        sent = 0
-        for tree_idx, link, count in sends:
-            i, j = link
-            q, col, pos = cells[tree_idx][i]
-            moved = min(count, len(q))
-            for _ in range(moved):
-                rid = q.popleft()
+        rng = self.rng
+        random = rng.random
+        f = self.func
+        lift, combine, finalize, direct = f.lift, f.combine, f.finalize, f.direct
+        empty = f.empty_payload
+        values = self._values
+        nsensors = self._nsensors
+        aggregator = self._aggregator
+        tix = self.tix
+        templates = tix.pending_template
+        leaf_cells = self._leaf_cells
+        relays = self._relays
+        cells = self._cells
+        rounds = self.rounds
+        tree_totals = self.tree_totals
+        assigned = self.assigned
+        link_counts = self.link_counts
+        link_queues = self._link_queues
+        weighing, sched_sends = self._weighing, self._sched_sends
+        maxima, ties = self._maxima, self._ties
+        maxweight = maxima is not None
+        greedy = self.routing == "greedy"
+        split_cum, sss_cum = self._split_cum, self._sss_cum
+        a = self.arrivals
+        law, lam = a.law, a.lam
+        poisson_limit = math.exp(-lam)
+        batch_p = lam / a.batch if lam and law == "bernoulli_batch" else 0.0
+        carry = self._arr_carry
+        debug = self.debug
+        m = self.metrics
+        schedule_counts = m.schedule_counts
+        completed, latency_sum, max_backlog = m.completed, m.latency_sum, m.max_backlog
+        u_total, nu_total = self.u_total, self.nu_total
+        slot, next_rid = self.slot, self._next_rid
+        end = slot + slots
+
+        while slot < end:
+            # Arrivals, their trees and their placement on the leaves.
+            n_arr = 0
+            if lam:
+                if law == "poisson":
+                    p = random()
+                    while p > poisson_limit:
+                        n_arr += 1
+                        p *= random()
+                elif law == "bernoulli_batch":
+                    if random() < batch_p:
+                        n_arr = a.batch
+                else:
+                    carry += lam
+                    n_arr = int(carry)
+                    carry -= n_arr
+            if n_arr:
+                # Looked up on the module each slot, where tracers wrap it.
+                tree = greedy_tree_load(tree_totals, rng) if greedy else 0
+                for _ in range(n_arr):
+                    if split_cum is not None:
+                        tree = bisect_right(split_cum, random())
+                    sensed = list(islice(values, nsensors))
+                    payloads = list(map(lift, sensed))
+                    payloads.insert(aggregator, empty)
+                    leaves = leaf_cells[tree]
+                    for q, col, cpos, pos in leaves:
+                        q.append(next_rid)
+                        v = col[cpos] + 1
+                        col[cpos] = v
+                        if maxweight:
+                            if v > maxima[pos]:
+                                maxima[pos] = v
+                                ties[pos] = 1
+                            elif v == maxima[pos]:
+                                ties[pos] += 1
+                    tree_totals[tree] += len(leaves)
+                    u_total += len(leaves)
+                    nu_total += relays[tree]
+                    r = _WRound(next_rid, tree, slot, payloads, templates[tree].copy(),
+                                sensed)
+                    if debug:
+                        r.crossed = set()
+                    rounds[next_rid] = r
+                    next_rid += 1
+                    assigned[tree] += 1
+
+            # The schedule, and the (round, i, j) packets it moves, popped
+            # from their queues.
+            moves = []
+            if maxweight:
+                sched_idx, best = maxweight_schedule(weighing, tix, link_counts, maxima,
+                                                     ties, rng)
+                for pos, i, j, cap in sched_sends[sched_idx]:
+                    t = best[pos]
+                    if t is None:
+                        continue
+                    q, col, cpos, _ = cells[t][i]
+                    w = maxima[pos]  # the length of q
+                    if cap == 1:
+                        moves.append((q.popleft(), i, j))
+                        moved = 1
+                    else:
+                        moved = min(cap, w)
+                        moves += [(q.popleft(), i, j) for _ in range(moved)]
+                    col[cpos] = w - moved
+                    if ties[pos] > 1:
+                        ties[pos] -= 1
+                    else:
+                        # q held the only maximum; below it, only a
+                        # one-packet send knows the new one.
+                        maxima[pos] = w = w - 1 if moved == 1 else max(col)
+                        ties[pos] = col.count(w)
+                    tree_totals[t] -= moved
+                    u_total -= moved
+            else:
+                sched_idx = bisect_right(sss_cum, random())
+                # Each link serves its trees' queue heads in round-id order:
+                # min over the heads at rate 1, a merge above.
+                for pos, i, j, cap in sched_sends[sched_idx]:
+                    queues = link_queues[pos]
+                    if cap == 1:
+                        q = min(filter(None, queues), key=_head, default=None)
+                        rids = () if q is None else (q[0],)
+                    else:
+                        rids = list(islice(merge(*filter(None, queues)), cap))
+                    for rid in rids:
+                        t = rounds[rid].tree
+                        q, col, cpos, _ = cells[t][i]
+                        q.popleft()
+                        col[cpos] -= 1
+                        tree_totals[t] -= 1
+                        moves.append((rid, i, j))
+                    u_total -= len(rids)
+            schedule_counts[sched_idx] = schedule_counts.get(sched_idx, 0) + 1
+
+            # Transfers: each packet folds into its receiver's payload.
+            ready = []
+            for rid, i, j in moves:
                 r = rounds[rid]
                 if debug:
-                    self._check_transfer(r, i, link)
+                    self._check_transfer(r, i, (i, j))
                 payloads = r.payloads
                 payloads[j] = combine(payloads[j], payloads[i])
                 pending = r.pending
@@ -510,11 +594,57 @@ class WirelessSimulator:
                 pending[j] = left
                 if not left:
                     ready.append((rid, j))
-            col[pos] -= moved
-            tree_totals[tree_idx] -= moved
-            sent += moved
-        self.u_total -= sent
-        return ready
+
+            # Readiness and completions, in round-id order.
+            if ready:
+                ready.sort()
+                for rid, j in ready:
+                    r = rounds[rid]
+                    if j == aggregator:
+                        got = finalize(r.payloads[aggregator])
+                        expected = direct(r.sensed)
+                        if got != expected:
+                            raise OracleMismatch(rid, got, expected)
+                        if debug and r.crossed != set(tix.tree_links[r.tree]):
+                            raise AssertionError(f"round {rid} crossed {sorted(r.crossed)} "
+                                                 "instead of its tree links")
+                        del rounds[rid]
+                        completed += 1
+                        latency_sum += slot - r.t_arrive + 1
+                        continue
+                    t = r.tree
+                    q, col, cpos, pos = cells[t][j]
+                    q.append(rid)
+                    v = col[cpos] + 1
+                    col[cpos] = v
+                    if maxweight:
+                        if v > maxima[pos]:
+                            maxima[pos] = v
+                            ties[pos] = 1
+                        elif v == maxima[pos]:
+                            ties[pos] += 1
+                    tree_totals[t] += 1
+                    u_total += 1
+                    nu_total -= 1
+
+            slot += 1
+            if debug:
+                self._assert_queue_counts(u_total, nu_total)
+            if sample_every and slot % sample_every == 0:
+                m.slots.append(slot)
+                m.total_useful.append(u_total)
+                m.total_nonuseful.append(nu_total)
+                m.lyapunov.append(lyapunov_value(link_counts))
+                m.completed_series.append(completed)
+                m.mean_latency_series.append(latency_sum / completed if completed else 0.0)
+                m.per_tree_assigned.append(tuple(assigned))
+            if u_total + nu_total > max_backlog:
+                max_backlog = u_total + nu_total
+
+        m.completed, m.latency_sum, m.max_backlog = completed, latency_sum, max_backlog
+        self.u_total, self.nu_total = u_total, nu_total
+        self.slot, self._next_rid = slot, next_rid
+        self._arr_carry = carry
 
     def _check_transfer(self, r, i, link):
         """Debug: a round leaves a node once, after aggregating its children."""
@@ -526,77 +656,9 @@ class WirelessSimulator:
             raise AssertionError(f"round {r.rid} crossed {link} twice")
         r.crossed.add(link)
 
-    def _finish_round(self, r):
-        f = self.func
-        got = f.finalize(r.payloads[self._aggregator])
-        expected = f.direct(r.sensed)
-        if got != expected:
-            raise OracleMismatch(r.rid, got, expected)
-        if self.debug and r.crossed != set(self.tix.tree_links[r.tree]):
-            raise AssertionError(
-                f"round {r.rid} crossed {sorted(r.crossed)} instead of its tree links"
-            )
-        del self.rounds[r.rid]
-        m = self.metrics
-        m.completed += 1
-        m.latency_sum += self.slot - r.t_arrive + 1
-
-    def step(self):
-        rng = self.rng
-        # 1+2: arrivals and their routing decision (queues as of slot start).
-        n_arr = self._draw_arrivals()
-        if n_arr:
-            if self.routing == "greedy":
-                self._place_rounds(repeat(greedy_tree_load(self.tree_totals, rng), n_arr))
-            elif self.routing == "single_tree":
-                self._place_rounds(repeat(0, n_arr))
-            else:
-                # Lazy, so each round's tree is drawn just before its values.
-                cum = self._split_cum
-                self._place_rounds(_draw_categorical(rng, cum) for _ in range(n_arr))
-
-        # 3: schedule selection and the slot's sends.
-        if self.scheduling == "maxweight":
-            sched_idx, best_tree = maxweight_schedule(
-                self._weighing, self.tix, self.link_counts, rng
-            )
-            sends = [(best_tree[pos], link, cap)
-                     for pos, link, cap in self._sched_sends[sched_idx]
-                     if best_tree[pos] is not None]
-        else:
-            sched_idx = _draw_categorical(rng, self._sss_cum)
-            sends = self._fifo_sends(sched_idx)
-        m = self.metrics
-        m.schedule_counts[sched_idx] = m.schedule_counts.get(sched_idx, 0) + 1
-
-        # 4: transmissions.
-        ready = self._transfer(sends)
-
-        # 5: internal transfers and completions, in round-id order.
-        if ready:
-            ready.sort()
-            aggregator, rounds, cells = self._aggregator, self.rounds, self._cells
-            tree_totals = self.tree_totals
-            joined = 0
-            for rid, j in ready:
-                r = rounds[rid]
-                if j == aggregator:
-                    self._finish_round(r)
-                else:
-                    q, col, pos = cells[r.tree][j]
-                    q.append(rid)
-                    col[pos] += 1
-                    tree_totals[r.tree] += 1
-                    joined += 1
-            self.u_total += joined
-            self.nu_total -= joined
-
-        self.slot += 1
-        if self.debug:
-            self._assert_queue_counts()
-
-    def _assert_queue_counts(self):
-        """Debug: queues ascending; link columns and totals equal a recount."""
+    def _assert_queue_counts(self, u_total, nu_total):
+        """Debug: queues ascending; link columns, MaxWeight's link maxima and
+        the totals equal a recount."""
         for ti, row in enumerate(self.useful):
             for i, q in enumerate(row):
                 rids = list(q)
@@ -608,13 +670,18 @@ class WirelessSimulator:
             lengths = [len(self.useful[t][link[0]]) for t in taus]
             if col != lengths:
                 raise AssertionError(f"link {link} counts {col} != queue lengths {lengths}")
-        if self.u_total != sum(self.tree_totals):
-            raise AssertionError(f"useful total {self.u_total} != recount")
+        maxima = list(map(max, self.link_counts))
+        ties = list(map(list.count, self.link_counts, maxima))
+        if self.scheduling == "maxweight" and (self._maxima != maxima or self._ties != ties):
+            raise AssertionError(f"link maxima {self._maxima} and ties {self._ties} != "
+                                 f"recount {maxima} and {ties}")
+        if u_total != sum(self.tree_totals):
+            raise AssertionError(f"useful total {u_total} != recount")
         aggregator = self._aggregator
         nonuseful = sum(1 for r in self.rounds.values()
                         for i, c in enumerate(r.pending) if c and i != aggregator)
-        if self.nu_total != nonuseful:
-            raise AssertionError(f"not-useful total {self.nu_total} != recount {nonuseful}")
+        if nu_total != nonuseful:
+            raise AssertionError(f"not-useful total {nu_total} != recount {nonuseful}")
 
     # -- driver ---------------------------------------------------------------
 
@@ -627,25 +694,10 @@ class WirelessSimulator:
             raise BadParams(f"sample_every must be at least one slot, got {sample_every}")
         m = self.metrics
         m.horizon = horizon
-        for _ in range(horizon):
-            self.step()
-            if self.slot % sample_every == 0:
-                self._sample(m)
-            backlog = self.u_total + self.nu_total
-            if backlog > m.max_backlog:
-                m.max_backlog = backlog
+        self._loop(horizon, sample_every)
         m.final_backlog = self.u_total + self.nu_total
         m.assigned_totals = list(self.assigned)
         return m
-
-    def _sample(self, m):
-        m.slots.append(self.slot)
-        m.total_useful.append(self.u_total)
-        m.total_nonuseful.append(self.nu_total)
-        m.lyapunov.append(lyapunov_value(self.link_counts))
-        m.completed_series.append(m.completed)
-        m.mean_latency_series.append(m.mean_latency)
-        m.per_tree_assigned.append(tuple(self.assigned))
 
 
 def run(g: NetworkGraph, schedule_set: ScheduleSet, trees, func: FmuxFunction,

@@ -558,3 +558,27 @@ def test_analysis_cut_separates_argmin_node(seed, split):
     assert list(a.cut) == sorted(a.cut)
     assert abs(sum(rates[l] for l in a.cut) - a.delta_star) <= 1e-6
     assert a.packing is None and (a.sss_rule is None) != split
+
+
+@pytest.mark.parametrize("name", ["k5", "channel3", "grid9"])
+def test_analyze_reuses_the_split_check_argmin(name, monkeypatch):
+    # With a schedule set, the argmin node comes from optimal_sss's own
+    # min-mincut check: the Analysis equals one built with a second
+    # min_mincut under the induced rates, at n-1 fewer max flows.
+    if name == "k5":
+        g = graph.generate("complete", n=5, capacity=1.0)
+        ss = flows.wireline_schedule_set(g)
+    else:
+        g = (graph.build_graph(3, 0, [(1, 0), (2, 0), (2, 1)], 1.0) if name == "channel3"
+             else graph.generate("grid", n=9, capacity=1.0))
+        ss = flows.ScheduleSet(tuple(flows.Schedule((l,), {l: 1.0}) for l in g.links))
+    rule, rates, lam = flows.optimal_sss(g, ss)
+    _, node = flows.min_mincut(g, rates)
+    _, side = flows.max_flow(g, rates, node, g.aggregator)
+    cut = tuple(sorted(l for l in g.links if l[0] in side and l[1] not in side))
+
+    calls = []
+    max_flow = flows.max_flow
+    monkeypatch.setattr(flows, "max_flow", lambda *a: calls.append(a) or max_flow(*a))
+    assert flows.analyze(g, ss) == flows.Analysis(lam, node, cut, rule, None)
+    assert len(calls) == len(g.sensors) + 1

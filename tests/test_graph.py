@@ -17,7 +17,7 @@ def test_smallest_valid_instance():
     g = graph.build_graph(2, 0, [(1, 0)], 1.0)
     assert g.in_neighbors[0] == (1,)
     assert g.out_neighbors[1] == (0,)
-    assert g.sensors == [1]
+    assert g.sensors == (1,)
 
 
 def test_triangle_adjacency(triangle):

@@ -273,7 +273,8 @@ def test_sweep_wireless_argmin_from_induced_rates():
 ])
 def test_sweep_analyses_once(monkeypatch, k5, model, policy, expected):
     # One analysis per sweep, whatever the number of (lambda, seed) points.
-    names = ("enumerate_aggregation_trees", "tree_packing_lp", "optimal_sss")
+    # `_optimal_sss` solves the split LP for `optimal_sss` and `analyze`.
+    names = ("enumerate_aggregation_trees", "tree_packing_lp", "_optimal_sss")
     counts = dict.fromkeys(names, 0)
     for name in names:
         def counted(*args, _name=name, _fn=getattr(flows, name), **kwargs):

@@ -65,10 +65,16 @@ def link_counts(tix, per_tree):
     return [[per_tree[t][link[0]] for t in taus] for link, taus in tix.trees_on_link.items()]
 
 
+def link_maxima(counts):
+    """Each column's largest count and how often it occurs, by recount."""
+    maxima = list(map(max, counts))
+    return maxima, [col.count(w) for col, w in zip(counts, maxima)]
+
+
 def maxweight(schedule_set, tix, counts, rng):
     """`maxweight_schedule` with its maximizing trees keyed by link."""
     weighing, _ = wireless._schedule_positions(tix, schedule_set)
-    idx, best = wireless.maxweight_schedule(weighing, tix, counts, rng)
+    idx, best = wireless.maxweight_schedule(weighing, tix, counts, *link_maxima(counts), rng)
     return idx, {link: t for link, t in zip(tix.trees_on_link, best) if t is not None}
 
 
@@ -313,6 +319,49 @@ def test_debug_runs_clean_on_random_digraphs(seed, data):
     assert len(sim.rounds) == sum(m.assigned_totals) - m.completed
 
 
+def test_debug_catches_a_stale_link_maximum(k5):
+    # Arrivals fill the leaves while the one schedule moves nothing; then a
+    # slot with no arrivals leaves every queue as it was, so only the debug
+    # recount can notice a link maximum that no longer matches its column.
+    idle = flows.ScheduleSet((flows.Schedule((), {}),))
+    sim = make_sim(k5, idle, flows.enumerate_aggregation_trees(k5), lam=3.6, seed=1,
+                   debug=True)
+    for _ in range(5):
+        sim.step()
+    sim.arrivals = ArrivalProcess("deterministic", 0.0)
+    sim.step()
+    pos = next(p for p, col in enumerate(sim.link_counts) if max(col) and 0 in col)
+    sim._maxima[pos] = 0
+    with pytest.raises(AssertionError, match="link maxima"):
+        sim.step()
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000), data=st.data())
+def test_maintained_link_maxima_give_the_recount_schedule(seed, data):
+    # Capacities 1-4 make multi-packet sends, which rescan a column.  At
+    # every slot, MaxWeight fed the simulator's maintained maxima and ties
+    # or a recount picks the same schedule and trees and draws the same bits.
+    g = harness.random_digraph(seed, n_max=5)
+    if data.draw(st.booleans()):
+        ss = flows.wireline_schedule_set(g)
+    else:
+        ss = flows.ScheduleSet(tuple(flows.Schedule((l,), {l: g.capacity[l]})
+                                     for l in g.links))
+    sim = make_sim(g, ss, flows.enumerate_aggregation_trees(g),
+                   lam=data.draw(st.floats(0.5, 4.0)), seed=seed)
+    for _ in range(60):
+        sim.step()
+        picks = []
+        for maxima, ties in ((sim._maxima, sim._ties), link_maxima(sim.link_counts)):
+            rng = random.Random()
+            rng.setstate(sim.rng.getstate())
+            picks.append((wireless.maxweight_schedule(sim._weighing, sim.tix, sim.link_counts,
+                                                      list(maxima), list(ties), rng),
+                          rng.getstate()))
+        assert picks[0] == picks[1]
+
+
 def test_single_star_tree_on_k5(k5):
     # One aggregation tree caps the rate at the per-link capacity 1.
     ss = flows.wireline_schedule_set(k5)
@@ -363,22 +412,37 @@ def test_lyapunov_drift_signature(triangle, shared_channel):
     assert hot.lyapunov[-1] > 3 * hot.lyapunov[n // 2] > 0
 
 
+def slot_arrivals(sim, slots):
+    """Rounds placed in each of the next `slots` slots."""
+    counts = []
+    for _ in range(slots):
+        before = sum(sim.assigned)
+        sim.step()
+        counts.append(sum(sim.assigned) - before)
+    return counts
+
+
 def test_arrival_processes():
-    rng = random.Random(13)
     with pytest.raises(BadParams):
         ArrivalProcess("bernoulli_batch", 2.0, batch=1)
     with pytest.raises(BadParams):
         ArrivalProcess("uniform", 1.0)
-    draws = [wireless._draw_poisson(rng, 2.0) for _ in range(20_000)]
-    assert abs(sum(draws) / len(draws) - 2.0) < 0.05
+    # One sensor on a rate-3 link: every round completes in its slot.
+    g = graph.build_graph(2, 0, [(1, 0)], 3.0)
+    sim = make_sim(g, flows.wireline_schedule_set(g), flows.enumerate_aggregation_trees(g),
+                   lam=2.0, seed=13)
+    draws = slot_arrivals(sim, 20_000)
+    mean = sum(draws) / len(draws)
+    variance = sum((d - mean) ** 2 for d in draws) / (len(draws) - 1)
+    assert abs(mean - 2.0) < 0.05
+    assert abs(variance - 2.0) < 0.1  # Poisson: variance = mean
 
 
 def test_deterministic_arrivals_accumulate_fraction(triangle, shared_channel):
     trees = flows.enumerate_aggregation_trees(triangle)
     sim = make_sim(triangle, shared_channel, trees, lam=0.5)
     sim.arrivals = ArrivalProcess("deterministic", 0.5)
-    arrived = sum(sim._draw_arrivals() for _ in range(10))
-    assert arrived == 5
+    assert slot_arrivals(sim, 10) == [0, 1] * 5
 
 
 # Exact outputs of seeded runs: any change to the per-slot bookkeeping must
