@@ -670,11 +670,12 @@ class WirelessSimulator:
             lengths = [len(self.useful[t][link[0]]) for t in taus]
             if col != lengths:
                 raise AssertionError(f"link {link} counts {col} != queue lengths {lengths}")
-        maxima = list(map(max, self.link_counts))
-        ties = list(map(list.count, self.link_counts, maxima))
-        if self.scheduling == "maxweight" and (self._maxima != maxima or self._ties != ties):
-            raise AssertionError(f"link maxima {self._maxima} and ties {self._ties} != "
-                                 f"recount {maxima} and {ties}")
+        if self.scheduling == "maxweight":
+            maxima = list(map(max, self.link_counts))
+            ties = list(map(list.count, self.link_counts, maxima))
+            if (self._maxima, self._ties) != (maxima, ties):
+                raise AssertionError(f"link maxima {self._maxima} and ties {self._ties} != "
+                                     f"recount {maxima} and {ties}")
         if u_total != sum(self.tree_totals):
             raise AssertionError(f"useful total {u_total} != recount")
         aggregator = self._aggregator
