@@ -75,7 +75,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from heapq import merge
-from itertools import count, islice
+from itertools import islice
 from operator import getitem, itemgetter, mul
 from random import Random
 
@@ -222,7 +222,7 @@ def maxweight_schedule(schedule_positions, tree_index: TreeIndex, link_counts,
     link_trees = tree_index.link_trees
     best_tree = list(map(getitem, link_trees, map(list.index, link_counts, maxima)))
     getrandbits = rng.getrandbits
-    for p, w, n in zip(count(), maxima, ties):
+    for p, (w, n) in enumerate(zip(maxima, ties)):
         if not w:
             best_tree[p] = None
         elif n > 1:

@@ -357,7 +357,7 @@ def test_maintained_link_maxima_give_the_recount_schedule(seed, data):
             rng = random.Random()
             rng.setstate(sim.rng.getstate())
             picks.append((wireless.maxweight_schedule(sim._weighing, sim.tix, sim.link_counts,
-                                                      list(maxima), list(ties), rng),
+                                                      maxima, ties, rng),
                           rng.getstate()))
         assert picks[0] == picks[1]
 
