@@ -1,3 +1,4 @@
+import os
 import sys
 
 import pytest
@@ -64,3 +65,11 @@ def max16():
 @pytest.fixture
 def kth2():
     return fmux.make_kth(2, 16)
+
+
+@pytest.fixture
+def src_env():
+    """Environment for a fresh interpreter that imports aggnet from src/."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -1,4 +1,3 @@
-import os
 import random
 import subprocess
 import sys
@@ -103,7 +102,7 @@ def test_fluid_lyapunov_monotone(triangle):
 # verify under python -O
 # ---------------------------------------------------------------------------
 
-def test_verify_fails_under_optimize():
+def test_verify_fails_under_optimize(src_env):
     # -O strips assert statements; a check must still fail when its claim
     # is false.  Here the min-mincut is off by one, so packing != cut.
     script = (
@@ -115,9 +114,6 @@ def test_verify_fails_under_optimize():
         "flows.min_mincut = off_by_one\n"
         "print(checks.verify('flows')['passed'])\n"
     )
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=src_env,
                          capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.strip() == "False"

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -188,3 +190,22 @@ def test_other_errors_propagate(runner, triangle_file, monkeypatch):
     monkeypatch.setattr(flows, "min_mincut", broken)
     result = runner.invoke(main, ["analyze", "--graph", triangle_file])
     assert isinstance(result.exception, RuntimeError)
+
+
+def test_wireline_simulate_process_loads_no_solver(tmp_path, triangle_file, src_env):
+    # The entry point as its own process: a wireline run writes its CSV and
+    # summary, and -X importtime lists no numpy or scipy module.
+    prefix = tmp_path / "run"
+    out = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "aggnet.cli", "simulate",
+         "--model", "wireline", "--graph", triangle_file, "--lambda", "0.5",
+         "--seed", "1", "--horizon", "200", "--out-prefix", str(prefix)],
+        env=src_env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert (tmp_path / "run.csv").read_text().startswith("time,rounds_in_flight,")
+    summary = json.loads((tmp_path / "run.json").read_text())
+    assert summary["model"] == "wireline" and summary["completed"] > 0
+    imported = [line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "aggnet.flows" in imported
+    assert [m for m in imported if m.partition(".")[0] in ("numpy", "scipy")] == []

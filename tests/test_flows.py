@@ -1,6 +1,8 @@
 import hashlib
 import json
 import random
+import subprocess
+import sys
 from itertools import combinations, product
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from aggnet import checks, flows, fmux, graph
-from aggnet.errors import BadParams, TooManyTrees
+from aggnet.errors import BadParams, LPNumericalFailure, TooManyTrees
 from aggnet.harness import random_digraph
 
 
@@ -582,3 +584,74 @@ def test_analyze_reuses_the_split_check_argmin(name, monkeypatch):
     monkeypatch.setattr(flows, "max_flow", lambda *a: calls.append(a) or max_flow(*a))
     assert flows.analyze(g, ss) == flows.Analysis(lam, node, cut, rule, None)
     assert len(calls) == len(g.sensors) + 1
+
+
+# ---------------------------------------------------------------------------
+# numpy and scipy load at the first LP
+# ---------------------------------------------------------------------------
+
+LAZY_SOLVER_SCRIPT = """\
+import json, sys
+import aggnet, aggnet.cli
+from aggnet import flows, graph, harness
+
+k5 = graph.generate("complete", n=5, capacity=1.0)
+assert flows.analyze(k5).delta_star == 4.0
+harness.sweep(harness.ExperimentConfig(model="wireline", graph=k5, lambdas=[2.0], seeds=[1],
+                                       horizon=200, workers=1, output_dir=sys.argv[1]))
+cfg = harness.ExperimentConfig(model="wireless", graph=k5, lambdas=[1.0], seeds=[1],
+                               horizon=200, policy="greedy-maxweight")
+harness.run_point(cfg, 1.0, 1)
+print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] in ("numpy", "scipy"))))
+tri = graph.build_graph(3, 0, [(1, 0), (2, 0), (2, 1)], 1.0)
+packing = flows.tree_packing_lp(tri, tri.capacity, flows.enumerate_aggregation_trees(tri))
+print(json.dumps([packing.total, flows.min_mincut(tri, tri.capacity)[0],
+                  "scipy.optimize" in sys.modules]))
+"""
+
+
+def test_wireline_work_loads_no_solver(tmp_path, src_env):
+    # A fresh interpreter runs the CLI import, a wired analysis, a wireline
+    # sweep and a greedy wireless point without numpy or scipy; the first
+    # packing LP then loads them and still reaches the min-mincut.
+    out = subprocess.run([sys.executable, "-c", LAZY_SOLVER_SCRIPT, str(tmp_path)],
+                         env=src_env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    loaded, solved = map(json.loads, out.stdout.splitlines())
+    assert loaded == []
+    total, cut, scipy_loaded = solved
+    assert cut == 1.0 and abs(total - cut) <= 1e-6
+    assert scipy_loaded
+    assert (tmp_path / "summary.json").is_file()
+
+
+def test_packing_residual_check_still_raises(triangle, monkeypatch):
+    # The solver is looked up at each call, so an answer that overshoots
+    # the capacity rows still trips the residual check.
+    import scipy.optimize
+
+    solve = scipy.optimize.linprog
+
+    def overshoot(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        res.x = res.x + 1.0
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "linprog", overshoot)
+    with pytest.raises(LPNumericalFailure, match="residual check failed") as exc:
+        flows.tree_packing_lp(triangle, triangle.capacity,
+                              flows.enumerate_aggregation_trees(triangle))
+    assert exc.value.residuals["primal_violation"] > 1.0
+
+
+def test_split_cross_check_still_raises(triangle, shared_channel, monkeypatch):
+    mincut = flows.min_mincut
+
+    def off_by_one(g, caps):
+        value, node = mincut(g, caps)
+        return value + 1.0, node
+
+    monkeypatch.setattr(flows, "min_mincut", off_by_one)
+    with pytest.raises(LPNumericalFailure, match="disagrees") as exc:
+        flows.optimal_sss(triangle, shared_channel)
+    assert exc.value.residuals["min_mincut"] == exc.value.residuals["lp_value"] + 1.0
