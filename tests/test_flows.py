@@ -628,16 +628,12 @@ def test_wireline_work_loads_no_solver(tmp_path, src_env):
 def test_packing_residual_check_still_raises(triangle, monkeypatch):
     # The solver is looked up at each call, so an answer that overshoots
     # the capacity rows still trips the residual check.
-    import scipy.optimize
-
-    solve = scipy.optimize.linprog
-
     def overshoot(*args, **kwargs):
-        res = solve(*args, **kwargs)
+        res = linprog(*args, **kwargs)
         res.x = res.x + 1.0
         return res
 
-    monkeypatch.setattr(scipy.optimize, "linprog", overshoot)
+    monkeypatch.setattr("scipy.optimize.linprog", overshoot)
     with pytest.raises(LPNumericalFailure, match="residual check failed") as exc:
         flows.tree_packing_lp(triangle, triangle.capacity,
                               flows.enumerate_aggregation_trees(triangle))
