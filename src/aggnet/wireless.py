@@ -36,7 +36,7 @@ nothing to weigh.
 One private loop, ``_loop``, holds the slot dynamics: arrivals, routing,
 placement, schedule choice, transfers, readiness, completions and
 sampling, with the totals, the slot and the next round id in locals;
-``step`` runs one slot of it.  A slot first pops every packet its
+``run`` is its only caller.  A slot first pops every packet its
 schedule serves, then moves each across its link.  MaxWeight takes them
 from the maximizing tree of each scheduled link, a rate-1 link by popping
 that queue's head.  Static-sss serves each scheduled link's queue heads in
@@ -430,10 +430,6 @@ class WirelessSimulator:
         self.metrics = WirelessMetrics(
             lam=arrivals.lam, seed=seed, horizon=0, tree_count=ntrees
         )
-
-    def step(self):
-        """Advance one slot."""
-        self._loop(1)
 
     def _loop(self, slots, sample_every=0):
         """Run `slots` slots, sampling every `sample_every`-th one (0: none).

@@ -46,13 +46,17 @@ don't provide on their own:
 * a round is never transmitted *to* a node that is currently forwarding
   it (such a node is outside the post-departure footprint), and a node
   awaiting an in-flight merge of a round holds that round's packet until
-  the merge lands (``avail`` drops its out-links).  Without these holds
-  the receiver can leave the footprint before the transfer completes;
-  patching that by re-adding the receiver costs an extra hop per
-  occurrence (measured at tens of percent on dense graphs at high load),
-  which pushes the effective load past the cut bound and destroys
-  stability strictly below it.  The ``reestablished`` metric counts the
-  patched case and stays at zero under the holds.
+  the merge lands (``avail`` drops its out-links).
+
+These holds keep the receiver of a transfer in the footprint until the
+transfer lands: when (u, v) starts, v holds the round and is not sending
+it, and while (u, v) is in flight ``waiting`` bars v's out-links, so no
+transfer of v's can land first.  A completion thus always merges into a
+packet already at v, which debug mode checks.  Without the holds, patching
+the receiver back in costs an extra hop per occurrence (measured at tens
+of percent on dense graphs at high load), which pushes the effective load
+past the cut bound and destroys stability strictly below it; the
+``reestablished`` metric counted such patches and is now always zero.
 
 The aggregator never transmits and is exempt from the non-isolation
 check; on acyclic graphs (where it is a sink) this changes nothing.  On
@@ -68,8 +72,6 @@ busy-link mask, the heap's sequence counter and the tables the loop reads
 per event are locals of the loop, written back to the simulator when it
 returns.  A round's ``payloads`` is a list indexed by node and its
 ``sensed`` a list in sensor order, so the oracle reads ``sensed`` as is.
-Manual stepping goes through the same loop: ``select_packet`` queues a
-draw on an idle link, due now, and runs the loop to now.
 """
 from __future__ import annotations
 
@@ -161,7 +163,7 @@ class WirelineMetrics:
     footprint_class_series: list = field(default_factory=list)
     completed: int = 0
     events: int = 0
-    reestablished: int = 0
+    reestablished: int = 0   # always 0: receivers hold the round (see module doc)
     max_in_flight: int = 0
     final_in_flight: int = 0
     latency_sum: float = 0.0
@@ -206,7 +208,7 @@ class WirelineSimulator:
         self.links = list(g.links)
         self.nlinks = len(self.links)
         self.link_rate = [g.capacity[l] for l in self.links]
-        self._link_ends = [(u, v, 1 << u, 1 << v) for u, v in self.links]
+        self._link_ends = [(u, v, 1 << u) for u, v in self.links]
         self.acyclic = g.is_acyclic()
 
         self.idle: dict[int, list] = {}       # footprint mask -> idle rounds
@@ -235,7 +237,7 @@ class WirelineSimulator:
         # Sensor sampling: one bit-draw per value when the alphabet allows.
         bits = func.alphabet_size.bit_length() - 1
         self._alphabet_bits = bits if (1 << bits) == func.alphabet_size else None
-        # Replaced by run(); present so manual stepping in tests records too.
+        # Replaced by run(); `_loop` and `_finish_round` record into it.
         self.metrics = WirelineMetrics(lam=lam, seed=seed, horizon=0.0)
 
     # -- usefulness ---------------------------------------------------------
@@ -294,45 +296,18 @@ class WirelineSimulator:
 
     # -- round creation -----------------------------------------------------
 
-    def seed_round(self, values=None, footprint=None) -> int:
-        """Create an idle round directly (tests and manual stepping).
-
-        `values` maps every sensor, and nothing else, to its value; without
-        it the values are drawn as for an arrival.
-        """
-        r = self._make_round(values)
-        if footprint is not None:
-            keep = 0
-            for node in footprint:
-                keep |= 1 << node
-            r.fp = keep
-            r.avail = self._useful_memo[keep][1]
-            if r.contrib is not None:
-                r.contrib = {i: s for i, s in r.contrib.items() if keep >> i & 1}
-        self._park(r)
-        return r.rid
-
-    def _make_round(self, values=None) -> _Round:
+    def _make_round(self) -> _Round:
         f = self.func
         sensors = self._sensors
-        if values is None:
-            rng = self.rng
-            bits = self._alphabet_bits
-            n = len(sensors)
-            if bits:
-                sensed = list(map(rng.getrandbits, repeat(bits, n)))
-            elif bits == 0:
-                sensed = [0] * n
-            else:
-                sensed = list(map(rng.randrange, repeat(f.alphabet_size, n)))
+        rng = self.rng
+        bits = self._alphabet_bits
+        n = len(sensors)
+        if bits:
+            sensed = list(map(rng.getrandbits, repeat(bits, n)))
+        elif bits == 0:
+            sensed = [0] * n
         else:
-            values = dict(values)
-            if values.keys() != self._sensor_set:
-                raise BadParams(
-                    f"values must give exactly the sensors {sensors}, "
-                    f"got nodes {sorted(values)}"
-                )
-            sensed = [f.check_value(values[i]) for i in sensors]
+            sensed = list(map(rng.randrange, repeat(f.alphabet_size, n)))
         payloads = list(map(f.lift, sensed))
         payloads.insert(self.a, f.empty_payload)
         rid = self._next_rid
@@ -367,22 +342,6 @@ class WirelineSimulator:
 
     # -- event loop ---------------------------------------------------------
 
-    def select_packet(self, link) -> int | None:
-        """Uniform choice over all useful packets across an idle link.
-
-        Starts the transfer and returns the round id, or returns None and
-        leaves the link idle when nothing is useful.  The choice is the
-        event loop's draw: an event on an idle link, due now.
-        """
-        link_idx = self.links.index(tuple(link)) if not isinstance(link, int) else link
-        if self.busy[link_idx] is not None or self.link_rate[link_idx] <= 0:
-            return None
-        self._seq += 1
-        heappush(self._heap, (self.now, self._seq, link_idx))
-        self._loop(self.now)
-        r = self.busy[link_idx]
-        return None if r is None else r.rid
-
     def run(self, horizon: float, sample_every: float = None,
             sample_footprint_classes: bool = False) -> WirelineMetrics:
         if horizon <= 0:
@@ -405,17 +364,16 @@ class WirelineSimulator:
     def _loop(self, until, sample_every=None, track_classes=False):
         """Process, in time order, every event due by time `until`.
 
-        An event is an arrival (link -1), a completion on a busy link, or a
-        draw on an idle one (a completion frees its link, so a draw follows
-        every completion).  Only `select_packet`, for manual stepping,
-        queues an event on an idle link; a run queues none.  The draw picks
-        uniformly over the packets useful on the link: the rounds of its
-        idle classes, the active rounds whose ``avail`` has its bit, and the
-        changed round when it has no transfer left.  The drawn round starts
-        on the link; then the changed round starts on its free ``avail``
-        links, lowest link first.  Any link that was idle before the event
-        had nothing useful, so only these starts can restore work
-        conservation.
+        An event is an arrival (link -1) or the completion of a transfer: a
+        link's event is queued when its transfer starts, so every link event
+        finds its link busy.  The completion frees the link, and a draw
+        picks uniformly over the packets useful on it: the rounds of its
+        idle classes, then the active rounds whose ``avail`` has its bit.
+        The changed round is never drawn, as its sender has left its
+        footprint.  The drawn round starts on the link; then the changed
+        round starts on its free ``avail`` links, lowest link first.  Any
+        link that was idle before the event had nothing useful, so only
+        these starts can restore work conservation.
 
         The pick is drawn the way ``Random.randrange(total)`` draws it
         (``getrandbits`` of the bit length of `total`, redrawn until below
@@ -468,40 +426,30 @@ class WirelineSimulator:
             else:
                 bit = 1 << link_idx
                 r = busy[link_idx]
-                if r is not None:
-                    busy[link_idx] = None
-                    busy_mask ^= bit
-                    u, v, ub, vb = link_ends[link_idx]
-                    edges = r.edges = r.edges ^ bit
-                    origins = r.origins = r.origins ^ ub
-                    if not edges & in_links[v]:
-                        r.waiting &= ~out_links[v]
-                    payloads = r.payloads
-                    fp = r.fp & ~ub
-                    if fp & vb:
-                        payloads[v] = combine(payloads[v], payloads[u])
-                    else:
-                        # Receiver forwarded its own packet mid-transfer; the
-                        # arriving packet re-establishes it in the footprint.
-                        fp |= vb
-                        payloads[v] = payloads[u]
-                        m.reestablished += 1
-                    r.fp = fp
-                    if debug:
-                        self._check_completion(r, u, v)
-                    if fp == a_bit:
-                        self._finish_round(r)
-                        r = None
-                    else:
-                        r.avail = useful[fp & ~origins][1] & ~r.waiting
-                        if not edges:
-                            del active[r.rid]
+                busy[link_idx] = None
+                busy_mask ^= bit
+                u, v, ub = link_ends[link_idx]
+                edges = r.edges = r.edges ^ bit
+                origins = r.origins = r.origins ^ ub
+                if not edges & in_links[v]:
+                    r.waiting &= ~out_links[v]
+                payloads = r.payloads
+                payloads[v] = combine(payloads[v], payloads[u])
+                fp = r.fp = r.fp & ~ub
+                if debug:
+                    self._check_completion(r, u, v)
+                if fp == a_bit:
+                    self._finish_round(r)
+                    r = None
+                else:
+                    r.avail = useful[fp & ~origins][1] & ~r.waiting
+                    if not edges:
+                        del active[r.rid]
             if debug:
                 self._assert_idle_index()
 
             # The draw on the freed link.  A pick indexes the rounds of the
-            # link's idle classes, then the eligible active rounds, then the
-            # changed round when it has no transfer left.
+            # link's idle classes, then the eligible active rounds.
             free = 0
             if link_idx >= 0:
                 classes = idle_by_link[link_idx]
@@ -510,8 +458,6 @@ class WirelineSimulator:
                 for s in active.values():
                     if s.avail & bit:
                         total += 1
-                if r is not None and not r.edges and r.avail & bit:
-                    total += 1
                 if total:
                     k = total.bit_length()
                     pick = getrandbits(k)
@@ -524,8 +470,6 @@ class WirelineSimulator:
                                 if not pick:
                                     break
                                 pick -= 1
-                        else:
-                            s = r
                     else:
                         for fp, rounds in classes.items():
                             count = len(rounds)
@@ -549,7 +493,7 @@ class WirelineSimulator:
             while free:
                 lsb = free & -free
                 li = lsb.bit_length() - 1
-                _u, v, ub, _vb = link_ends[li]
+                _u, v, ub = link_ends[li]
                 active[s.rid] = s
                 origins = s.origins = s.origins | ub
                 s.edges |= lsb
@@ -586,7 +530,11 @@ class WirelineSimulator:
         return next_sample
 
     def _check_completion(self, r, u, v):
-        """Debug: the completion of `r` on (u, v) folded each source in once."""
+        """Debug: (u, v) landed at a holder of `r` and folded each source once."""
+        if not r.fp >> v & 1:
+            raise AssertionError(
+                f"round {r.rid}: receiver {v} left the footprint before ({u},{v}) landed"
+            )
         moved = r.contrib.pop(u)
         into = r.contrib.setdefault(v, set())
         if into & moved:

@@ -53,6 +53,25 @@ def shared_channel(triangle):
 
 
 @pytest.fixture
+def grid_search_sss():
+    """Independent check: scan the simplex of three schedules for the best split."""
+    def search(g, schedule_set, step=0.02):
+        best = 0.0
+        ticks = int(round(1.0 / step))
+        for i in range(ticks + 1):
+            for j in range(ticks + 1 - i):
+                w = (i * step, j * step, 1.0 - (i + j) * step)
+                rates = {l: 0.0 for l in g.links}
+                for wk, sched in zip(w, schedule_set.schedules):
+                    for l, r in sched.rates.items():
+                        rates[l] += wk * r
+                value, _ = flows.min_mincut(g, rates)
+                best = max(best, value)
+        return best
+    return search
+
+
+@pytest.fixture
 def parity():
     return fmux.make_parity()
 

@@ -87,23 +87,8 @@ def test_criterion_3_wireline_bracket(k5):
            budget=300)
 
 
-def grid_search_sss(g, schedule_set, step=0.02):
-    best = 0.0
-    ticks = int(round(1.0 / step))
-    for i in range(ticks + 1):
-        for j in range(ticks + 1 - i):
-            w = (i * step, j * step, 1.0 - (i + j) * step)
-            rates = {l: 0.0 for l in g.links}
-            for wk, sched in zip(w, schedule_set.schedules):
-                for l, r in sched.rates.items():
-                    rates[l] += wk * r
-            value, _ = flows.min_mincut(g, rates)
-            best = max(best, value)
-    return best
-
-
 @pytest.mark.slow
-def test_criterion_4_wireless_bracket(channel3):
+def test_criterion_4_wireless_bracket(channel3, grid_search_sss):
     t0 = time.monotonic()
     g, ss = channel3
     _, _, lam_star = flows.optimal_sss(g, ss)

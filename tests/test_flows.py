@@ -343,24 +343,7 @@ def test_packing_matches_recorded_output(name):
 # optimal service split
 # ---------------------------------------------------------------------------
 
-def grid_search_sss(g, schedule_set, step=0.02):
-    """Independent check: scan the probability simplex for the best split."""
-    best = 0.0
-    ticks = int(round(1.0 / step))
-    schedules = schedule_set.schedules
-    for i in range(ticks + 1):
-        for j in range(ticks + 1 - i):
-            w = (i * step, j * step, 1.0 - (i + j) * step)
-            rates = {l: 0.0 for l in g.links}
-            for wk, sched in zip(w, schedules):
-                for l, r in sched.rates.items():
-                    rates[l] += wk * r
-            value, _ = flows.min_mincut(g, rates)
-            best = max(best, value)
-    return best
-
-
-def test_optimal_sss_shared_channel(triangle, shared_channel):
+def test_optimal_sss_shared_channel(triangle, shared_channel, grid_search_sss):
     rule, rates, value = flows.optimal_sss(triangle, shared_channel)
     assert abs(value - 0.5) <= 1e-6
     # weight on the schedule carrying (1, 0) must be one half

@@ -29,6 +29,11 @@ def make_sim(g, schedule_set, trees, lam=0.5, seed=0, **kw):
     )
 
 
+def step(sim, slots=1):
+    """Run `slots` slots."""
+    sim._loop(slots)
+
+
 # ---------------------------------------------------------------------------
 # routing
 # ---------------------------------------------------------------------------
@@ -162,10 +167,10 @@ def test_line_round_takes_two_slots(line3):
     trees = flows.enumerate_aggregation_trees(line3)
     sim = make_sim(line3, ss, trees, func=fmux.make_parity(), debug=True)
     sim.arrivals = ArrivalProcess("deterministic", 1.0)
-    sim.step()  # arrival + leaf transmission (2 -> 1); node 1 must wait
+    step(sim)  # arrival + leaf transmission (2 -> 1); node 1 must wait
     assert sim.metrics.completed == 0
     sim.arrivals = ArrivalProcess("deterministic", 0.0)
-    sim.step()  # node 1 aggregated at the slot edge, now forwards
+    step(sim)  # node 1 aggregated at the slot edge, now forwards
     assert sim.metrics.completed == 1
     assert sim.metrics.latency_sum == 2.0
 
@@ -176,7 +181,7 @@ def test_min_rule_moves_only_queue_length():
     trees = flows.enumerate_aggregation_trees(g)
     sim = make_sim(g, ss, trees, debug=True)
     sim.arrivals = ArrivalProcess("deterministic", 1.0)
-    sim.step()
+    step(sim)
     assert sim.metrics.completed == 1  # only one packet existed, min(3, 1) = 1
     assert sim.u_total == 0
 
@@ -186,8 +191,7 @@ def test_empty_schedule_leaves_queues(triangle):
     trees = flows.enumerate_aggregation_trees(triangle)
     sim = make_sim(triangle, ss, trees)
     sim.arrivals = ArrivalProcess("deterministic", 1.0)
-    sim.step()
-    sim.step()
+    step(sim, 2)
     assert sim.metrics.completed == 0
     assert sim.u_total + sim.nu_total > 0
 
@@ -326,14 +330,13 @@ def test_debug_catches_a_stale_link_maximum(k5):
     idle = flows.ScheduleSet((flows.Schedule((), {}),))
     sim = make_sim(k5, idle, flows.enumerate_aggregation_trees(k5), lam=3.6, seed=1,
                    debug=True)
-    for _ in range(5):
-        sim.step()
+    step(sim, 5)
     sim.arrivals = ArrivalProcess("deterministic", 0.0)
-    sim.step()
+    step(sim)
     pos = next(p for p, col in enumerate(sim.link_counts) if max(col) and 0 in col)
     sim._maxima[pos] = 0
     with pytest.raises(AssertionError, match="link maxima"):
-        sim.step()
+        step(sim)
 
 
 @settings(max_examples=30, deadline=None)
@@ -351,7 +354,7 @@ def test_maintained_link_maxima_give_the_recount_schedule(seed, data):
     sim = make_sim(g, ss, flows.enumerate_aggregation_trees(g),
                    lam=data.draw(st.floats(0.5, 4.0)), seed=seed)
     for _ in range(60):
-        sim.step()
+        step(sim)
         picks = []
         for maxima, ties in ((sim._maxima, sim._ties), link_maxima(sim.link_counts)):
             rng = random.Random()
@@ -417,7 +420,7 @@ def slot_arrivals(sim, slots):
     counts = []
     for _ in range(slots):
         before = sum(sim.assigned)
-        sim.step()
+        step(sim)
         counts.append(sum(sim.assigned) - before)
     return counts
 

@@ -1,3 +1,6 @@
+from heapq import heappush
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -5,21 +8,26 @@ from scipy.stats import chisquare
 
 from aggnet import checks, flows, fmux, graph, harness, wireline
 from aggnet.errors import BadParams
+from aggnet.wireless import WirelessSimulator
 from aggnet.wireline import WirelineSimulator
 
 
-def make_sim(g, lam=0.5, func=None, seed=0, debug=False):
-    return WirelineSimulator(g, lam, func or fmux.make_parity(), seed, debug=debug)
+def make_sim(g, lam=0.5, seed=0, debug=False):
+    return WirelineSimulator(g, lam, fmux.make_parity(), seed, debug=debug)
 
 
 def link_bit(sim, link):
     return 1 << sim.links.index(link)
 
 
-def idle_avail(sim, footprint):
-    """`avail` of the one idle round with this footprint: its useful links."""
-    (r,) = sim.idle[sum(1 << v for v in footprint)]
-    return r.avail
+def on(sim, link):
+    """The round transmitting on `link`, or None."""
+    return sim.busy[sim.links.index(link)]
+
+
+def useful(sim, footprint):
+    """The useful links of an idle round holding `footprint`, as a bitmask."""
+    return sim._useful_memo[sum(1 << v for v in footprint)][1]
 
 
 # ---------------------------------------------------------------------------
@@ -29,8 +37,7 @@ def idle_avail(sim, footprint):
 def test_useful_conditions_on_relay_net(relay_net):
     # One round whose packet at node 1 has already been forwarded on.
     sim = make_sim(relay_net)
-    sim.seed_round(values={1: 0, 2: 1, 3: 1}, footprint=[0, 2, 3])
-    avail = idle_avail(sim, [0, 2, 3])
+    avail = useful(sim, [0, 2, 3])
     # receiver 1 holds no packet of the round
     assert not avail & link_bit(sim, (2, 1))
     # sending 3 -> 0 would leave node 2 with no footprint out-neighbor
@@ -41,16 +48,14 @@ def test_useful_conditions_on_relay_net(relay_net):
 
 def test_useful_needs_both_endpoints(triangle):
     sim = make_sim(triangle)
-    sim.seed_round(footprint=[0, 2])
-    avail = idle_avail(sim, [0, 2])
+    avail = useful(sim, [0, 2])
     assert not avail & link_bit(sim, (2, 1))  # 1 holds nothing
     assert avail & link_bit(sim, (2, 0))
 
 
 def test_full_footprint_all_sender_links_useful(triangle):
     sim = make_sim(triangle)
-    sim.seed_round()
-    avail = idle_avail(sim, range(triangle.n))
+    avail = useful(sim, range(triangle.n))
     for link in triangle.links:
         assert avail & link_bit(sim, link)
 
@@ -89,121 +94,184 @@ def test_useful_links_match_per_link_rule(seed, dead):
 
 
 # ---------------------------------------------------------------------------
-# selection
+# driven states, run by the event loop with every debug check armed
 # ---------------------------------------------------------------------------
 
-def test_select_single_candidate(triangle):
-    sim = make_sim(triangle)
-    rid = sim.seed_round()
-    assert sim.select_packet((1, 0)) == rid
-    assert sim.busy[sim.links.index((1, 0))] is not None
+def new_round(sim, footprint=None, park=False):
+    """A round as an arrival makes it, parked idle if `park`; given
+    `footprint`, as if every node outside it had sent its packet to the
+    aggregator."""
+    r, a = sim._make_round(), sim.a
+    for i in set(range(sim.g.n)) - set(footprint or range(sim.g.n)):
+        r.payloads[a] = sim.func.combine(r.payloads[a], r.payloads[i])
+        r.contrib[a] |= r.contrib.pop(i)
+        r.fp ^= 1 << i
+    r.avail = sim._useful_memo[r.fp][1]
+    if park:
+        sim._park(r)
+    return r
 
 
-def test_select_none_when_nothing_useful(triangle):
-    sim = make_sim(triangle)
-    sim.seed_round(footprint=[0, 2])
-    assert sim.select_packet((1, 0)) is None
-    assert sim.busy[sim.links.index((1, 0))] is None
+def start(sim, r, link, t):
+    """Start round `r` on idle `link` by the loop's start rule, landing at `t`."""
+    li = sim.links.index(link)
+    sim.active[r.rid] = r
+    r.origins |= 1 << link[0]
+    r.edges |= 1 << li
+    r.waiting |= sim._out_links[link[1]]
+    r.avail = sim._useful_memo[r.fp & ~r.origins][1] & ~r.waiting
+    sim.busy[li] = r
+    sim.busy_mask |= 1 << li
+    sim._seq += 1
+    heappush(sim._heap, (t, sim._seq, li))
 
-
-def test_select_uniform_over_idle_and_active(triangle):
-    # Three idle rounds plus one active round (transmitting on (1, 0), so
-    # still eligible from node 2): each should win 1/4 of selections.
-    # Every trial draws once from a freshly built state, seeded by its index.
-    counts = {}
-    for trial in range(20_000):
-        sim = make_sim(triangle, seed=trial)
-        active = sim.seed_round()
-        assert sim.select_packet((1, 0)) == active  # the only round present
-        idle = [sim.seed_round() for _ in range(3)]
-        rid = sim.select_packet((2, 0))
-        assert rid in idle + [active]
-        counts[rid] = counts.get(rid, 0) + 1
-    assert len(counts) == 4
-    stat, p = chisquare(list(counts.values()))
-    assert p > 0.01, counts
-
-
-# ---------------------------------------------------------------------------
-# completion dynamics
-# ---------------------------------------------------------------------------
 
 def step(sim):
-    """Run the next event: a completion, the draw on its link and the starts."""
+    """Check the state, then run the next event: a completion, the draw on
+    its link and the starts."""
+    sim._assert_activity_condition()
     sim._loop(sim._heap[0][0])
+
+
+def stub_rng(sim, bits):
+    """Make `sim.rng` hand out `bits` in order from `getrandbits` and take
+    ln 2 / rate per transit; returns the list of widths drawn."""
+    widths, bits = [], list(bits)
+    sim.rng = SimpleNamespace(random=lambda: 0.5,
+                              getrandbits=lambda k: widths.append(k) or bits.pop(0))
+    return widths
 
 
 def test_two_node_round_completes():
     g = graph.build_graph(2, 0, [(1, 0)], 1.0)
-    f = fmux.make_parity()
-    sim = make_sim(g, func=f, debug=True)
-    sim.seed_round(values={1: 1})
-    assert sim.select_packet((1, 0)) is not None
+    sim = make_sim(g, debug=True)
+    start(sim, new_round(sim), (1, 0), 1.0)
     step(sim)
     assert sim.metrics.completed == 1
     assert sim.in_flight == 0
     assert not sim.active and not sim.idle and not sim._heap
 
 
+def test_select_single_candidate():
+    g = graph.build_graph(2, 0, [(1, 0)], 1.0)
+    sim = make_sim(g, debug=True)
+    start(sim, new_round(sim), (1, 0), 1.0)
+    r = new_round(sim, park=True)
+    step(sim)
+    assert sim.metrics.completed == 1
+    assert on(sim, (1, 0)) is r and not sim.idle
+
+
+def test_select_none_when_nothing_useful(triangle):
+    sim = make_sim(triangle, debug=True)
+    r = new_round(sim, footprint=[0, 2], park=True)  # useful on (2, 0) only
+    start(sim, new_round(sim, footprint=[0, 1]), (1, 0), 1.0)
+    start(sim, new_round(sim, footprint=[0, 2]), (2, 0), 2.0)
+    step(sim)
+    assert sim.metrics.completed == 1
+    assert on(sim, (1, 0)) is None
+    assert sim.idle == {r.fp: [r]}
+
+
+def draw_state(g, seed):
+    """The triangle with every link busy and, once (2, 0) lands, four packets
+    useful on it: three idle rounds, then the round on (1, 0).  Returns the
+    simulator and these candidates in the draw's order."""
+    sim = make_sim(g, seed=seed, debug=True)
+    a = new_round(sim)
+    start(sim, a, (1, 0), 2.0)
+    start(sim, new_round(sim), (2, 0), 1.0)
+    start(sim, new_round(sim), (2, 1), 3.0)
+    idle = [new_round(sim, park=True) for _ in range(3)]
+    return sim, idle + [a]
+
+
+def test_select_uniform_over_idle_and_active(triangle):
+    # Exactly: draws of 0-3 pick the candidates in order, and a draw of 4 or
+    # more is drawn again.
+    for bits, pick in ([0], 0), ([1], 1), ([2], 2), ([3], 3), ([4, 2], 2), ([7, 5, 1], 1):
+        sim, candidates = draw_state(triangle, seed=0)
+        widths = stub_rng(sim, bits)
+        step(sim)
+        assert on(sim, (2, 0)) is candidates[pick] and widths == [3] * len(bits)
+    # Statistically: each candidate wins 1/4 of the draws.  Every trial
+    # draws once from a freshly built state (checked above), seeded by its
+    # index.
+    counts = [0] * 4
+    for trial in range(100_000, 180_000):
+        sim, candidates = draw_state(triangle, seed=trial)
+        sim._loop(1.0)
+        counts[candidates.index(on(sim, (2, 0)))] += 1
+    assert all(counts)
+    stat, p = chisquare(counts)
+    assert p > 0.01, counts
+
+
 def test_triangle_merge_hand_trace(triangle):
-    f = fmux.make_parity()
-    sim = make_sim(triangle, func=f, debug=True)
-    rid = sim.seed_round(values={1: 1, 2: 1})
-    assert sim.select_packet((2, 1)) == rid
-    r = sim.active[rid]
+    sim = make_sim(triangle, debug=True)
+    r = new_round(sim)
+    start(sim, r, (2, 1), 1.0)
     step(sim)
     assert r.fp == 0b011  # footprint {0, 1}
-    assert r.payloads[1] == 0  # 1 xor 1 merged at node 1
+    assert r.payloads[1] == r.sensed[0] ^ r.sensed[1]  # merged at node 1
     # (2, 1) has landed and nothing is useful on it; node 1 forwards at once.
     assert r.edges == link_bit(sim, (1, 0))
-    assert sim.busy[sim.links.index((1, 0))] is r
-    assert sim.busy[sim.links.index((2, 1))] is None
+    assert on(sim, (1, 0)) is r
+    assert on(sim, (2, 1)) is None
 
 
 def test_concurrent_edges_shrink_independently(triangle):
+    # The state an arrival into the empty triangle leaves: one round on
+    # (1, 0) and (2, 0), from distinct origins.
     sim = make_sim(triangle, debug=True)
-    rid = sim.seed_round()
-    # After the first manual selection the round is useful on the idle link
-    # (2, 0), a state no run reaches (a run would start it there in the same
-    # event), so the work-conservation check is off for the two selects only;
-    # the completion and every check after it run armed.
-    sim._assert_activity_condition = lambda: None
-    assert sim.select_packet((1, 0)) == rid
-    assert sim.select_packet((2, 0)) == rid  # distinct origin, allowed
-    del sim._assert_activity_condition
-    r = sim.active[rid]
-    assert r.edges.bit_count() == 2
-    first = sim._heap[0][2]
-    (other,) = {sim.links.index((1, 0)), sim.links.index((2, 0))} - {first}
+    r = new_round(sim)
+    start(sim, r, (1, 0), 1.0)
+    start(sim, r, (2, 0), 2.0)
     step(sim)
     # The first landing leaves the other transfer running and starts nothing.
-    assert r.edges == 1 << other
-    assert sim.busy[other] is r
-    assert sim.busy[first] is None
-
-
-@pytest.mark.parametrize("values", [{1: 1}, {1: 1, 2: 0, 7: 1}])
-def test_seed_round_values_must_be_the_sensors(triangle, values):
-    sim = make_sim(triangle)
-    with pytest.raises(BadParams):
-        sim.seed_round(values=values)
-    assert sim.in_flight == 0 and not sim.idle
+    assert r.edges == link_bit(sim, (2, 0))
+    assert on(sim, (2, 0)) is r
+    assert on(sim, (1, 0)) is None
 
 
 def test_commitment_holds_block_racing_transfers(triangle):
-    sim = make_sim(triangle)
-    rid = sim.seed_round()
-    assert sim.select_packet((2, 1)) == rid
-    avail = sim.active[rid].avail
-    # 1 is the destination of an in-flight merge: it must hold the round.
-    assert not avail & link_bit(sim, (1, 0))
-    # and nobody may transmit toward the origin node 2
-    assert not avail & link_bit(sim, (2, 0))
+    sim = make_sim(triangle, debug=True)
+    r = new_round(sim, park=True)
+    start(sim, new_round(sim, footprint=[0, 1]), (1, 0), 5.0)
+    start(sim, new_round(sim), (2, 1), 1.0)
+    start(sim, new_round(sim, footprint=[0, 2]), (2, 0), 1.1)
+    stub_rng(sim, [0])
+    step(sim)
+    # (2, 1) is freed and `r`, its one candidate, starts there.  Node 1
+    # awaits the merge and node 2 is already sending: both hold the round.
+    assert on(sim, (2, 1)) is r
+    assert not r.avail & (link_bit(sim, (1, 0)) | link_bit(sim, (2, 0)))
+    step(sim)
+    # So the landing on (2, 0) leaves it idle, though node 2 holds `r`.
+    assert on(sim, (2, 0)) is None and r.fp >> 2 & 1
+
+
+def test_completion_checks_the_receiver_held_the_round(triangle):
+    # Starting (1, 0) while a merge into node 1 is in flight bypasses the
+    # hold; node 1 leaves the footprint before (2, 1) lands.
+    sim = make_sim(triangle, debug=True)
+    r = new_round(sim)
+    start(sim, r, (2, 1), 2.0)
+    start(sim, r, (1, 0), 1.0)
+    step(sim)
+    assert not r.fp >> 1 & 1
+    with pytest.raises(AssertionError, match="receiver 1 left the footprint"):
+        step(sim)
 
 
 # ---------------------------------------------------------------------------
 # runs
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("cls", [WirelineSimulator, WirelessSimulator])
+def test_simulators_are_driven_only_by_run(cls):
+    assert [n for n in dir(cls) if n[0] != "_" and callable(getattr(cls, n))] == ["run"]
+
 
 def test_run_requires_positive_rate(triangle):
     with pytest.raises(BadParams):
@@ -248,7 +316,6 @@ def test_run_deterministic(triangle):
 def test_run_debug_invariants_clean(triangle):
     m = wireline.run(triangle, 0.8, fmux.make_parity(), seed=2, horizon=1500.0, debug=True)
     assert m.completed > 500
-    assert m.reestablished == 0
 
 
 def test_run_all_functions_oracle(triangle):
@@ -260,7 +327,6 @@ def test_run_all_functions_oracle(triangle):
 def test_run_on_cyclic_graph(k5):
     m = wireline.run(k5, 1.0, fmux.make_max(16), seed=5, horizon=300.0, debug=True)
     assert m.completed > 100
-    assert m.reestablished == 0
 
 
 @pytest.mark.parametrize("n, horizon", [(4, 2000.0), (9, 2000.0), (16, 500.0)])
@@ -271,7 +337,6 @@ def test_debug_runs_clean_on_grids(n, horizon):
     g = graph.generate("grid", n=n)
     m = wireline.run(g, 1.0, fmux.make_parity(), seed=1, horizon=horizon, debug=True)
     assert m.completed > 0.8 * horizon
-    assert m.reestablished == 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -285,7 +350,6 @@ def test_debug_runs_clean_on_random_digraphs(seed, load):
     m = wireline.run(g, load * cut, fmux.make_parity(), seed=seed, horizon=100.0,
                      debug=True)
     assert m.events > 0
-    assert m.reestablished == 0
 
 
 # Exact outputs of seeded runs. The per-footprint usefulness memo, the
