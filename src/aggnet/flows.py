@@ -20,7 +20,7 @@ Rates are packets per time unit throughout; the single bits-to-rounds
 conversion lives in max_refresh_rate.
 
 numpy and scipy are imported only inside the functions that build or
-solve an LP: _tree_incidence, tree_packing_lp, _coo and _optimal_sss.
+solve an LP: _tree_incidence, tree_packing_lp, _coo and optimal_sss.
 Max flow, the min-mincut, enumeration and both simulators are pure
 Python, so a process that solves no LP (a wireline sweep, analyze
 without a schedule set or trees, a greedy or single-tree wireless run)
@@ -479,13 +479,10 @@ def optimal_sss(g: NetworkGraph, schedule_set: ScheduleSet):
     Solves for weights pi over the schedule set and, per sensor, a flow of
     common value lam from that sensor to the aggregator under the induced
     rate vector.  Each sensor's flow sees the full induced capacity (cuts
-    bound sensors separately).  Returns (SSSRule, induced RateVector, lam).
+    bound sensors separately).  Returns (SSSRule, induced RateVector, lam,
+    node): node is the argmin node of the min-mincut under the induced
+    rates, which cross-checks lam.
     """
-    return _optimal_sss(g, schedule_set)[:3]
-
-
-def _optimal_sss(g: NetworkGraph, schedule_set: ScheduleSet):
-    """optimal_sss's result plus the argmin node of its min-mincut check."""
     import numpy as np
     import scipy.sparse as sp
     from scipy.optimize import linprog
@@ -595,7 +592,7 @@ def analyze(g: NetworkGraph, schedule_set: ScheduleSet = None, trees=None) -> An
         rule, rates = None, g.capacity
         delta_star, node = min_mincut(g, rates)
     else:
-        rule, rates, delta_star, node = _optimal_sss(g, schedule_set)
+        rule, rates, delta_star, node = optimal_sss(g, schedule_set)
     _, side = max_flow(g, rates, node, g.aggregator)
     cut = tuple(sorted(l for l in g.links if l[0] in side and l[1] not in side))
     packing = None if trees is None else tree_packing_lp(g, rates, trees)

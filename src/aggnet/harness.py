@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from . import flows, fmux, graph as graphmod, wireless, wireline
-from .errors import BadParams, SeriesTooShort
+from .errors import BadParams, MultiTreeConfig, SeriesTooShort
 
 POLICIES = ("greedy-maxweight", "static-sss", "single-tree", "fixed-split")
 
@@ -181,13 +181,6 @@ class ExperimentConfig:
 # Single runs and sweeps
 # ---------------------------------------------------------------------------
 
-# Wireless (routing, scheduling) of each policy.
-_WIRELESS = {"greedy-maxweight": ("greedy", "maxweight"),
-             "single-tree": ("single_tree", "maxweight"),
-             "fixed-split": ("fixed_split", "maxweight"),
-             "static-sss": ("fixed_split", "static_sss")}
-
-
 def run_point(cfg: ExperimentConfig, lam: float, seed: int):
     """Run one (lambda, seed) simulation and return (verdict, metrics)."""
     g = cfg.load_graph()
@@ -201,23 +194,23 @@ def run_point(cfg: ExperimentConfig, lam: float, seed: int):
         series = metrics.in_flight
         times = metrics.times
     else:
+        # Each policy is a choice of the simulator's inputs: the trees, the
+        # split weights and the SSS rule.
         rule = weights = None
         if cfg.policy == "static-sss":
             # Best service split from the LP, rounds split by the optimal
             # packing of the induced rates.
             rule, packing = cfg.analysis.sss_rule, cfg.analysis.packing
-            trees = packing.trees
-            weights = [max(w, 0.0) for w in packing.weights]
-            if sum(weights) <= 0:
-                raise BadParams("optimal packing is empty; cannot split rounds")
+            trees, weights = packing.trees, packing.weights
         else:
             trees = cfg.load_trees(g)
             if cfg.policy == "fixed-split":
                 weights = cfg.split_weights or [1.0] * len(trees)
-        routing, scheduling = _WIRELESS[cfg.policy]
+            elif cfg.policy == "single-tree" and len(trees) != 1:
+                raise MultiTreeConfig(
+                    f"single-tree requires exactly one tree, got {len(trees)}")
         metrics = wireless.run(
             g, cfg.load_schedules(g), trees, func, lam, seed, int(cfg.horizon),
-            routing=routing, scheduling=scheduling,
             split_weights=weights, sss_rule=rule, arrival_law=cfg.arrival_law,
             sample_every=int(cfg.sample_every) if cfg.sample_every else None,
             debug=cfg.debug,

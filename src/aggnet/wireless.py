@@ -7,17 +7,16 @@ every tree child.  Per node and tree there is a queue of rounds ready to
 forward (useful) and an implicit set still waiting on children
 (not-useful).
 
-Scheduling picks one admissible schedule per slot:
-
-* ``maxweight`` weighs each link by its best useful backlog across trees
-  and transmits, per scheduled link, from that maximizing tree only;
-* ``static_sss`` samples a fixed schedule distribution and serves
-  scheduled links FIFO by round id across their trees.
-
-Routing policies: ``greedy`` (all arrivals of a slot to the tree with the
-smallest total useful backlog), ``fixed_split`` (independent random tree
-per round with given weights, the static-packing construction), and
-``single_tree``.
+The inputs select the policy.  Routing: given ``split_weights`` (one
+per tree), each round takes an independent random tree with those
+weights, the static-packing construction; otherwise, with several trees,
+all arrivals of a slot go to the tree with the smallest total useful
+backlog (greedy), and a single tree takes every round.  Scheduling:
+given an ``sss_rule``, each slot samples that fixed schedule
+distribution and serves scheduled links FIFO by round id across their
+trees; otherwise MaxWeight weighs each link by its best useful backlog
+across trees and transmits, per scheduled link, from that maximizing
+tree only.
 
 Queue lengths are kept link-major.  The useful queue of tree t at sensor
 i feeds exactly one link, (i, parent_t(i)), so ``link_counts`` holds one
@@ -79,13 +78,10 @@ from itertools import islice
 from operator import getitem, itemgetter, mul
 from random import Random
 
-from .errors import BadParams, MultiTreeConfig, OracleMismatch
+from .errors import BadParams, OracleMismatch
 from .flows import ScheduleSet, SSSRule
 from .fmux import FmuxFunction
 from .graph import NetworkGraph
-
-ROUTINGS = ("greedy", "fixed_split", "single_tree")
-SCHEDULINGS = ("maxweight", "static_sss")
 
 
 # ---------------------------------------------------------------------------
@@ -334,17 +330,17 @@ class WirelessMetrics:
 
 
 class WirelessSimulator:
-    """One policy on one topology; call run(horizon) for the metrics."""
+    """One policy on one topology; call run(horizon) for the metrics.
+
+    `split_weights` (one per tree) routes by a fixed random split, and
+    `sss_rule` schedules by a static split; without them routing is greedy
+    and scheduling MaxWeight.
+    """
 
     def __init__(self, g: NetworkGraph, schedule_set: ScheduleSet, trees,
                  func: FmuxFunction, arrivals: ArrivalProcess, seed: int,
-                 routing: str = "greedy", scheduling: str = "maxweight",
                  split_weights=None, sss_rule: SSSRule = None,
                  debug: bool = False):
-        if routing not in ROUTINGS:
-            raise BadParams(f"unknown routing {routing!r}")
-        if scheduling not in SCHEDULINGS:
-            raise BadParams(f"unknown scheduling {scheduling!r}")
         schedule_set.validate_links(g)
         _integral_rates(schedule_set)
         if func.alphabet_size < 1:
@@ -357,29 +353,17 @@ class WirelessSimulator:
         self.g = g
         self.schedule_set = schedule_set
         self.tix = TreeIndex(g, trees)
-        if routing == "single_tree" and len(self.tix) != 1:
-            raise MultiTreeConfig(f"single_tree requires exactly one tree, got {len(self.tix)}")
         self.func = func
         self.arrivals = arrivals
-        self.routing = routing
-        self.scheduling = scheduling
         self.rng = Random(seed)
         self.seed = seed
         self.debug = debug
 
-        if routing == "fixed_split":
-            if split_weights is None or len(split_weights) != len(self.tix):
-                raise BadParams("fixed_split routing needs one weight per tree")
-            self._split_cum = _cumulative(split_weights)
-        else:
-            self._split_cum = None
-        if scheduling == "static_sss":
-            if sss_rule is None:
-                raise BadParams("static_sss scheduling needs an SSSRule")
-            weights = [sss_rule.weights.get(k, 0.0) for k in range(len(schedule_set))]
-            self._sss_cum = _cumulative(weights)
-        else:
-            self._sss_cum = None
+        if split_weights is not None and len(split_weights) != len(self.tix):
+            raise BadParams("split_weights needs one weight per tree")
+        self._split_cum = None if split_weights is None else _cumulative(split_weights)
+        self._sss_cum = None if sss_rule is None else _cumulative(
+            [sss_rule.weights.get(k, 0.0) for k in range(len(schedule_set))])
         tix = self.tix
         self._weighing, self._sched_sends = _schedule_positions(tix, schedule_set)
 
@@ -397,7 +381,7 @@ class WirelessSimulator:
         # MaxWeight's inputs, kept up to date by the slot loop: per link
         # position, the largest count in its column and how many trees
         # reach it.  Static scheduling does not read them.
-        if scheduling == "maxweight":
+        if sss_rule is None:
             self._maxima = [0] * len(tix.link_trees)
             self._ties = [len(taus) for taus in tix.link_trees]
         else:
@@ -466,8 +450,9 @@ class WirelessSimulator:
         weighing, sched_sends = self._weighing, self._sched_sends
         maxima, ties = self._maxima, self._ties
         maxweight = maxima is not None
-        greedy = self.routing == "greedy"
         split_cum, sss_cum = self._split_cum, self._sss_cum
+        # Without a split, greedy routing chooses when there is a choice.
+        greedy = split_cum is None and len(tix) > 1
         a = self.arrivals
         law, lam = a.law, a.lam
         poisson_limit = math.exp(-lam)
@@ -666,7 +651,7 @@ class WirelessSimulator:
             lengths = [len(self.useful[t][link[0]]) for t in taus]
             if col != lengths:
                 raise AssertionError(f"link {link} counts {col} != queue lengths {lengths}")
-        if self.scheduling == "maxweight":
+        if self._maxima is not None:
             maxima = list(map(max, self.link_counts))
             ties = list(map(list.count, self.link_counts, maxima))
             if (self._maxima, self._ties) != (maxima, ties):
@@ -698,15 +683,13 @@ class WirelessSimulator:
 
 
 def run(g: NetworkGraph, schedule_set: ScheduleSet, trees, func: FmuxFunction,
-        lam: float, seed: int, horizon: int, routing: str = "greedy",
-        scheduling: str = "maxweight", split_weights=None, sss_rule: SSSRule = None,
-        arrival_law: str = "poisson", sample_every: int = None,
+        lam: float, seed: int, horizon: int, split_weights=None,
+        sss_rule: SSSRule = None, arrival_law: str = "poisson", sample_every: int = None,
         debug: bool = False) -> WirelessMetrics:
     """One simulation run; see WirelessSimulator."""
     sim = WirelessSimulator(
         g, schedule_set, trees, func,
         ArrivalProcess(arrival_law, lam), seed,
-        routing=routing, scheduling=scheduling,
         split_weights=split_weights, sss_rule=sss_rule, debug=debug,
     )
     return sim.run(horizon, sample_every=sample_every)

@@ -52,7 +52,8 @@ These holds keep the receiver of a transfer in the footprint until the
 transfer lands: when (u, v) starts, v holds the round and is not sending
 it, and while (u, v) is in flight ``waiting`` bars v's out-links, so no
 transfer of v's can land first.  A completion thus always merges into a
-packet already at v, which debug mode checks.  Without the holds, patching
+packet already at v.  Debug mode checks the hold after every event, for
+each transfer in flight, and again when it lands.  Without the holds, patching
 the receiver back in costs an extra hop per occurrence (measured at tens
 of percent on dense graphs at high load), which pushes the effective load
 past the cut bound and destroys stability strictly below it; the
@@ -588,12 +589,18 @@ class WirelineSimulator:
         if busy_mask != self.busy_mask:
             raise AssertionError("busy mask drifted from busy links")
         for r in self.active.values():
+            # The hold: each in-flight transfer lands at a node that holds
+            # the round and is not sending it.
+            dests = {v for link_idx, (_u, v) in enumerate(self.links)
+                     if r.edges >> link_idx & 1}
+            for v in sorted(dests):
+                if not r.fp >> v & 1 or r.origins >> v & 1:
+                    raise AssertionError(f"round {r.rid}: in-flight receiver {v} "
+                                         "does not hold the round or is sending it")
             # The eligibility rule, link by link, on the footprint the
             # round keeps once its in-flight transfers have left.
             useful = self._useful_memo[r.fp & ~r.origins][1]
             want = 0
-            dests = {v for link_idx, (_u, v) in enumerate(self.links)
-                     if r.edges >> link_idx & 1}
             for link_idx, (u, v) in enumerate(self.links):
                 if (useful >> link_idx & 1 and not r.origins >> u & 1
                         and not r.origins >> v & 1 and u not in dests):

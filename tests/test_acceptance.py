@@ -91,7 +91,7 @@ def test_criterion_3_wireline_bracket(k5):
 def test_criterion_4_wireless_bracket(channel3, grid_search_sss):
     t0 = time.monotonic()
     g, ss = channel3
-    _, _, lam_star = flows.optimal_sss(g, ss)
+    _, _, lam_star, _ = flows.optimal_sss(g, ss)
     assert abs(lam_star - 0.5) <= 1e-6
     assert abs(grid_search_sss(g, ss) - lam_star) <= 0.02
     cfg = ExperimentConfig(
@@ -122,13 +122,12 @@ def test_criterion_5_static_policy(channel3):
         assert result.verdicts[(0.45, seed)].verdict == "stable", seed
 
     # Schedule draw frequencies against the optimal split over 1e5 slots.
-    rule, induced, _ = flows.optimal_sss(g, ss)
+    rule, induced, _, _ = flows.optimal_sss(g, ss)
     trees = flows.enumerate_aggregation_trees(g)
     packing = flows.tree_packing_lp(g, induced, trees)
     sim = wireless.WirelessSimulator(
         g, ss, trees, fmux.make_parity(), wireless.ArrivalProcess("poisson", 0.45),
-        seed=1, routing="fixed_split", scheduling="static_sss",
-        split_weights=[max(w, 0.0) for w in packing.weights], sss_rule=rule,
+        seed=1, split_weights=[max(w, 0.0) for w in packing.weights], sss_rule=rule,
     )
     slots = 100_000
     m = sim.run(slots)

@@ -175,6 +175,17 @@ def test_package_error_is_one_line(runner, triangle_file):
     assert result.output == "Error: sample_every must be positive, got 0.0\n"
 
 
+def test_single_tree_policy_with_two_trees_is_one_line(runner, triangle_file):
+    # The default --trees all gives the triangle's two trees.
+    result = runner.invoke(main, [
+        "simulate", "--model", "wireless", "--graph", triangle_file,
+        "--policy", "single-tree", "--lambda", "0.3", "--seed", "1", "--horizon", "100",
+    ])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == "Error: single-tree requires exactly one tree, got 2\n"
+
+
 def test_too_many_trees_is_one_line(runner, triangle_file):
     result = runner.invoke(main, ["analyze", "--graph", triangle_file, "--tree-limit", "1"])
     assert result.exit_code == 1

@@ -344,7 +344,7 @@ def test_packing_matches_recorded_output(name):
 # ---------------------------------------------------------------------------
 
 def test_optimal_sss_shared_channel(triangle, shared_channel, grid_search_sss):
-    rule, rates, value = flows.optimal_sss(triangle, shared_channel)
+    rule, rates, value, _ = flows.optimal_sss(triangle, shared_channel)
     assert abs(value - 0.5) <= 1e-6
     # weight on the schedule carrying (1, 0) must be one half
     idx_10 = [k for k, s in enumerate(shared_channel.schedules) if s.links == ((1, 0),)][0]
@@ -354,7 +354,7 @@ def test_optimal_sss_shared_channel(triangle, shared_channel, grid_search_sss):
 
 def test_optimal_sss_degenerate_reduces_to_min_mincut(k5):
     ss = flows.wireline_schedule_set(k5)
-    _, rates, value = flows.optimal_sss(k5, ss)
+    _, rates, value, _ = flows.optimal_sss(k5, ss)
     cut, _ = flows.min_mincut(k5, k5.capacity)
     assert abs(value - cut) <= 1e-6
     assert all(abs(rates[l] - k5.capacity[l]) <= 1e-9 for l in k5.links)
@@ -367,18 +367,19 @@ def test_optimal_sss_dead_link_gives_zero(triangle):
         flows.Schedule(((2, 0),), {(2, 0): 1.0}),
         flows.Schedule(((2, 1),), {(2, 1): 1.0}),
     )
-    _, _, value = flows.optimal_sss(triangle, flows.ScheduleSet(schedules))
+    _, _, value, _ = flows.optimal_sss(triangle, flows.ScheduleSet(schedules))
     assert abs(value) <= 1e-9
 
 
 def test_optimal_sss_monotone_in_schedules(triangle, shared_channel):
     rng = random.Random(5)
     base = list(shared_channel.schedules)
-    _, _, before = flows.optimal_sss(triangle, flows.ScheduleSet(tuple(base)))
+    _, _, before, _ = flows.optimal_sss(triangle, flows.ScheduleSet(tuple(base)))
     for _ in range(5):
         links = tuple(l for l in triangle.links if rng.random() < 0.7) or (triangle.links[0],)
         extra = flows.Schedule(links, {l: rng.randint(1, 3) * 0.5 for l in links})
-        _, _, after = flows.optimal_sss(triangle, flows.ScheduleSet(tuple(base + [extra])))
+        _, _, after, _ = flows.optimal_sss(triangle,
+                                           flows.ScheduleSet(tuple(base + [extra])))
         assert after >= before - 1e-9
         base.append(extra)
         before = after
@@ -422,7 +423,7 @@ def digraph_with_schedules(draw):
 @given(digraph_with_schedules())
 def test_optimal_sss_matches_cut_form_oracle(instance):
     g, ss = instance
-    rule, induced, lam = flows.optimal_sss(g, ss)
+    rule, induced, lam, _ = flows.optimal_sss(g, ss)
     assert abs(lam - cut_form_sss(g, ss)) <= 1e-6
     assert all(w >= 0.0 for w in rule.weights.values())
     assert abs(sum(rule.weights.values()) - 1.0) <= 1e-9
@@ -432,11 +433,11 @@ def test_optimal_sss_matches_cut_form_oracle(instance):
 def test_optimal_sss_at_scale():
     # Sizes the service-split LP only reaches when built sparse.
     g81 = graph.generate("grid", n=81)
-    _, _, lam = flows.optimal_sss(g81, flows.wireline_schedule_set(g81))
+    _, _, lam, _ = flows.optimal_sss(g81, flows.wireline_schedule_set(g81))
     assert abs(lam - 2.0) <= 1e-6
     g49 = graph.generate("grid", n=49)
     one_link = flows.ScheduleSet(tuple(flows.Schedule((l,), {l: 1.0}) for l in g49.links))
-    _, _, lam = flows.optimal_sss(g49, one_link)
+    _, _, lam, _ = flows.optimal_sss(g49, one_link)
     assert abs(lam - 1.0 / 48) <= 1e-6
 
 
@@ -557,8 +558,9 @@ def test_analyze_reuses_the_split_check_argmin(name, monkeypatch):
         g = (graph.build_graph(3, 0, [(1, 0), (2, 0), (2, 1)], 1.0) if name == "channel3"
              else graph.generate("grid", n=9, capacity=1.0))
         ss = flows.ScheduleSet(tuple(flows.Schedule((l,), {l: 1.0}) for l in g.links))
-    rule, rates, lam = flows.optimal_sss(g, ss)
+    rule, rates, lam, split_node = flows.optimal_sss(g, ss)
     _, node = flows.min_mincut(g, rates)
+    assert split_node == node
     _, side = flows.max_flow(g, rates, node, g.aggregator)
     cut = tuple(sorted(l for l in g.links if l[0] in side and l[1] not in side))
 

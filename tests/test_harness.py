@@ -5,7 +5,7 @@ import random
 import pytest
 
 from aggnet import checks, flows, fmux, graph, harness, wireless
-from aggnet.errors import BadParams, SeriesTooShort
+from aggnet.errors import BadParams, MultiTreeConfig, SeriesTooShort
 from aggnet.harness import DetectorParams, ExperimentConfig, detect_stability
 
 
@@ -242,6 +242,14 @@ def test_sweep_k5_grid_brackets_bottleneck(k5):
     assert result.summary()["lambda_star"] == 4.0
 
 
+def test_single_tree_requires_one_tree(triangle):
+    # "all" gives the triangle's two trees; the simulator would take both.
+    cfg = ExperimentConfig(model="wireless", graph=triangle, policy="single-tree",
+                           lambdas=[0.3], seeds=[1], horizon=100)
+    with pytest.raises(MultiTreeConfig, match="exactly one tree, got 2"):
+        harness.run_point(cfg, 0.3, 1)
+
+
 def test_sweep_wireless_static_policy(triangle, shared_channel):
     cfg = ExperimentConfig(
         model="wireless", graph=triangle, policy="static-sss",
@@ -258,7 +266,7 @@ def test_sweep_wireless_argmin_from_induced_rates():
     # rates (node 1) differs from the one under wired capacities (node 2).
     g = harness.random_digraph(4)
     one_link = flows.ScheduleSet(tuple(flows.Schedule((l,), {l: 1.0}) for l in g.links))
-    _, induced, _ = flows.optimal_sss(g, one_link)
+    _, induced, _, _ = flows.optimal_sss(g, one_link)
     assert flows.min_mincut(g, g.capacity)[1] == 2
     assert flows.min_mincut(g, induced)[1] == 1
     cfg = ExperimentConfig(model="wireless", graph=g, schedules=one_link,
@@ -273,8 +281,7 @@ def test_sweep_wireless_argmin_from_induced_rates():
 ])
 def test_sweep_analyses_once(monkeypatch, k5, model, policy, expected):
     # One analysis per sweep, whatever the number of (lambda, seed) points.
-    # `_optimal_sss` solves the split LP for `optimal_sss` and `analyze`.
-    names = ("enumerate_aggregation_trees", "tree_packing_lp", "_optimal_sss")
+    names = ("enumerate_aggregation_trees", "tree_packing_lp", "optimal_sss")
     counts = dict.fromkeys(names, 0)
     for name in names:
         def counted(*args, _name=name, _fn=getattr(flows, name), **kwargs):

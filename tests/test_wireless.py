@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aggnet import flows, fmux, graph, harness, wireless
-from aggnet.errors import BadParams, MultiTreeConfig
+from aggnet.errors import BadParams
 from aggnet.wireless import ArrivalProcess, TreeIndex, WirelessSimulator
 
 
@@ -218,12 +218,6 @@ def test_empty_alphabet_rejected(k5):
         make_sim(k5, flows.wireline_schedule_set(k5), [star_tree()], func=fmux.make_max(0))
 
 
-def test_single_tree_requires_one_tree(k5):
-    ss = flows.wireline_schedule_set(k5)
-    with pytest.raises(MultiTreeConfig):
-        make_sim(k5, ss, example5_trees(), routing="single_tree")
-
-
 # ---------------------------------------------------------------------------
 # static service split
 # ---------------------------------------------------------------------------
@@ -232,7 +226,6 @@ def test_static_degenerate_rule_fires_one_schedule(triangle, shared_channel):
     trees = flows.enumerate_aggregation_trees(triangle)
     rule = flows.SSSRule({0: 1.0})
     sim = make_sim(triangle, shared_channel, trees, lam=0.2, seed=6,
-                   routing="fixed_split", scheduling="static_sss",
                    split_weights=[1.0, 1.0], sss_rule=rule)
     m = sim.run(2000)
     assert set(m.schedule_counts) == {0}
@@ -241,10 +234,16 @@ def test_static_degenerate_rule_fires_one_schedule(triangle, shared_channel):
 def test_fixed_split_shares_follow_weights(triangle, shared_channel):
     trees = flows.enumerate_aggregation_trees(triangle)
     m = wireless.run(triangle, shared_channel, trees, fmux.make_parity(), lam=1.0,
-                     seed=21, horizon=8000, routing="fixed_split",
-                     split_weights=[0.25, 0.75], arrival_law="deterministic")
+                     seed=21, horizon=8000, split_weights=[0.25, 0.75],
+                     arrival_law="deterministic")
     assert sum(m.assigned_totals) == 8000
     assert 0.22 < m.assigned_totals[0] / 8000 < 0.28
+
+
+def test_split_weights_need_one_per_tree(triangle, shared_channel):
+    trees = flows.enumerate_aggregation_trees(triangle)
+    with pytest.raises(BadParams, match="one weight per tree"):
+        make_sim(triangle, shared_channel, trees, split_weights=[1.0])
 
 
 def test_static_schedule_frequencies(triangle, shared_channel):
@@ -252,7 +251,6 @@ def test_static_schedule_frequencies(triangle, shared_channel):
     trees = flows.enumerate_aggregation_trees(triangle)
     rule = flows.SSSRule({0: 0.5, 1: 0.25, 2: 0.25})
     sim = make_sim(triangle, shared_channel, trees, lam=0.3, seed=7,
-                   routing="fixed_split", scheduling="static_sss",
                    split_weights=[0.5, 0.5], sss_rule=rule)
     m = sim.run(20_000)
     observed = [m.schedule_counts.get(k, 0) for k in range(3)]
@@ -298,27 +296,26 @@ def test_debug_runs_clean_on_random_digraphs(seed, data):
     g = harness.random_digraph(seed, n_max=5)
     trees = flows.enumerate_aggregation_trees(g)
     chosen = sorted(data.draw(st.sets(st.integers(0, len(trees) - 1), min_size=1)))
-    routings = ["greedy", "fixed_split"] + (["single_tree"] if len(chosen) == 1 else [])
-    routing = data.draw(st.sampled_from(routings))
+    # Split weights select fixed-split routing, and a rule static
+    # scheduling; without them the run is greedy (one tree: always tree 0)
+    # with MaxWeight.
     weights = (data.draw(st.lists(st.floats(0.01, 1.0), min_size=len(chosen),
                                   max_size=len(chosen)))
-               if routing == "fixed_split" else None)
+               if data.draw(st.booleans()) else None)
     if data.draw(st.booleans()):
         ss = flows.wireline_schedule_set(g)
     else:
         ss = flows.ScheduleSet(tuple(flows.Schedule((l,), {l: g.capacity[l]})
                                      for l in g.links))
-    scheduling = data.draw(st.sampled_from(wireless.SCHEDULINGS))
     rule = None
-    if scheduling == "static_sss":
+    if data.draw(st.booleans()):
         w = data.draw(st.lists(st.floats(0.01, 1.0), min_size=len(ss), max_size=len(ss)))
         rule = flows.SSSRule({k: x / sum(w) for k, x in enumerate(w)})
     func = data.draw(st.sampled_from([fmux.make_parity(), fmux.make_max(16),
                                       fmux.make_kth(2, 16)]))
     lam = data.draw(st.floats(0.1, 3.0))
     sim = make_sim(g, ss, [trees[t] for t in chosen], lam=lam, seed=seed, func=func,
-                   routing=routing, scheduling=scheduling, split_weights=weights,
-                   sss_rule=rule, debug=True)
+                   split_weights=weights, sss_rule=rule, debug=True)
     m = sim.run(120)
     assert len(sim.rounds) == sum(m.assigned_totals) - m.completed
 
@@ -369,10 +366,10 @@ def test_single_star_tree_on_k5(k5):
     # One aggregation tree caps the rate at the per-link capacity 1.
     ss = flows.wireline_schedule_set(k5)
     stable = wireless.run(k5, ss, [star_tree()], fmux.make_parity(), lam=0.9,
-                          seed=11, horizon=30_000, routing="single_tree")
+                          seed=11, horizon=30_000)
     assert stable.final_backlog < 100
     swamped = wireless.run(k5, ss, [star_tree()], fmux.make_parity(), lam=1.5,
-                           seed=11, horizon=30_000, routing="single_tree")
+                           seed=11, horizon=30_000)
     assert swamped.final_backlog > 10_000
 
 
@@ -389,12 +386,12 @@ def test_static_split_k5_wired_as_wireless(k5):
     # schedule plus packing-proportional tree assignment carries 0.9 of the
     # bottleneck rate.
     ss = flows.wireline_schedule_set(k5)
-    rule, induced, value = flows.optimal_sss(k5, ss)
+    rule, induced, value, _ = flows.optimal_sss(k5, ss)
     assert value == pytest.approx(4.0, abs=1e-6)
     trees = flows.enumerate_aggregation_trees(k5)
     packing = flows.tree_packing_lp(k5, induced, trees)
     m = wireless.run(k5, ss, trees, fmux.make_parity(), lam=3.6, seed=13,
-                     horizon=30_000, routing="fixed_split", scheduling="static_sss",
+                     horizon=30_000,
                      split_weights=[max(w, 0.0) for w in packing.weights],
                      sss_rule=rule)
     assert m.completed > 100_000
@@ -659,22 +656,19 @@ def _golden_run(name):
                             lam=3.6, seed=10, horizon=3000, arrival_law="deterministic")
     if name == "k5-star-1.1":
         star = flows.AggregationTree.from_parent_map({1: 0, 2: 0, 3: 0, 4: 0})
-        return wireless.run(k5, wired, [star], kth, lam=1.1, seed=2, horizon=3000,
-                            routing="single_tree")
+        return wireless.run(k5, wired, [star], kth, lam=1.1, seed=2, horizon=3000)
     if name == "k5-static-3.6":
-        rule, induced, _ = flows.optimal_sss(k5, wired)
+        rule, induced, _, _ = flows.optimal_sss(k5, wired)
         trees = flows.enumerate_aggregation_trees(k5)
         packing = flows.tree_packing_lp(k5, induced, trees)
         return wireless.run(k5, wired, trees, kth, lam=3.6, seed=3, horizon=3000,
-                            routing="fixed_split", scheduling="static_sss",
                             split_weights=[max(w, 0.0) for w in packing.weights],
                             sss_rule=rule)
     if name == "k5-split-maxweight-3.6":
-        _, induced, _ = flows.optimal_sss(k5, wired)
+        _, induced, _, _ = flows.optimal_sss(k5, wired)
         trees = flows.enumerate_aggregation_trees(k5)
         packing = flows.tree_packing_lp(k5, induced, trees)
         return wireless.run(k5, wired, trees, kth, lam=3.6, seed=6, horizon=3000,
-                            routing="fixed_split",
                             split_weights=[max(w, 0.0) for w in packing.weights])
     if name.startswith("k4cap2"):
         # Rate-2 links: one slot moves several packets per link, across trees.
@@ -685,14 +679,12 @@ def _golden_run(name):
             return wireless.run(k4, wired4, trees4, kth, lam=5.4, seed=7, horizon=3000)
         if name == "k4cap2-static-even-4.0":
             # Every tree carries rounds, so trees share each link's FIFO.
-            rule, _, _ = flows.optimal_sss(k4, wired4)
+            rule, _, _, _ = flows.optimal_sss(k4, wired4)
             return wireless.run(k4, wired4, trees4, kth, lam=4.0, seed=9, horizon=3000,
-                                routing="fixed_split", scheduling="static_sss",
                                 split_weights=[1.0] * len(trees4), sss_rule=rule)
-        rule, induced, _ = flows.optimal_sss(k4, wired4)
+        rule, induced, _, _ = flows.optimal_sss(k4, wired4)
         packing = flows.tree_packing_lp(k4, induced, trees4)
         return wireless.run(k4, wired4, trees4, kth, lam=5.4, seed=8, horizon=3000,
-                            routing="fixed_split", scheduling="static_sss",
                             split_weights=[max(w, 0.0) for w in packing.weights],
                             sss_rule=rule)
     g3 = graph.build_graph(3, 0, [(1, 0), (2, 0), (2, 1)], 1.0)

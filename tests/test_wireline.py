@@ -251,13 +251,29 @@ def test_commitment_holds_block_racing_transfers(triangle):
     assert on(sim, (2, 0)) is None and r.fp >> 2 & 1
 
 
-def test_completion_checks_the_receiver_held_the_round(triangle):
-    # Starting (1, 0) while a merge into node 1 is in flight bypasses the
-    # hold; node 1 leaves the footprint before (2, 1) lands.
-    sim = make_sim(triangle, debug=True)
+def bypassed_hold(g):
+    """Round `r` on (2, 1) and, bypassing the hold, on (1, 0), which lands
+    first; returns the simulator and `r`."""
+    sim = make_sim(g, debug=True)
     r = new_round(sim)
     start(sim, r, (2, 1), 2.0)
     start(sim, r, (1, 0), 1.0)
+    return sim, r
+
+
+def test_activity_check_catches_a_bypassed_hold(triangle):
+    # Node 1 sends the round while the merge into it is in flight.
+    sim, _ = bypassed_hold(triangle)
+    with pytest.raises(AssertionError, match="round 0: in-flight receiver 1 does not hold"):
+        step(sim)
+
+
+def test_completion_checks_the_receiver_held_the_round(triangle, monkeypatch):
+    # Node 1 leaves the footprint before (2, 1) lands.  The state check
+    # would stop the run at the bypass itself (above), so it is off here:
+    # the landing's own check must catch the bypass too.
+    sim, r = bypassed_hold(triangle)
+    monkeypatch.setattr(sim, "_assert_activity_condition", lambda: None)
     step(sim)
     assert not r.fp >> 1 & 1
     with pytest.raises(AssertionError, match="receiver 1 left the footprint"):
