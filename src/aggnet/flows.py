@@ -20,12 +20,14 @@ Rates are packets per time unit throughout; the single bits-to-rounds
 conversion lives in max_refresh_rate.
 
 numpy and scipy are imported only inside the functions that build or
-solve an LP: _tree_incidence, tree_packing_lp, _coo and optimal_sss.
-Max flow, the min-mincut, enumeration and both simulators are pure
-Python, so a process that solves no LP (a wireline sweep, analyze
-without a schedule set or trees, a greedy or single-tree wireless run)
-never loads them, and starts in about a sixth of the time and a quarter
-of the memory.  The first LP call in a process pays the import once.
+solve an LP: _tree_incidence, tree_packing_lp, _coo and optimal_sss,
+which solves no LP for a one-schedule set such as the wired one.  Max
+flow, the min-mincut, enumeration and both simulators are pure Python,
+so a process that solves no LP (a wireline sweep, analyze without trees
+and with at most one schedule, a greedy or single-tree wireless sweep on
+one schedule) never loads them, and starts in about a sixth of the time
+and a quarter of the memory.  The first LP call in a process pays the
+import once.
 """
 from __future__ import annotations
 
@@ -473,22 +475,37 @@ def _coo(triples, shape):
     return sp.coo_array((t[:, 2], (t[:, 0].astype(int), t[:, 1].astype(int))), shape=shape)
 
 
+def _induced_rates(g: NetworkGraph, schedules, pi) -> RateVector:
+    """The rate vector a split induces: each link's rates weighted by pi."""
+    induced = {l: 0.0 for l in g.links}
+    for k, w in pi.items():
+        for l, r in schedules[k].rates.items():
+            induced[l] += w * r
+    return induced
+
+
 def optimal_sss(g: NetworkGraph, schedule_set: ScheduleSet):
     """Best time-sharing over schedules: maximizes the induced min-mincut.
 
-    Solves for weights pi over the schedule set and, per sensor, a flow of
+    Returns (SSSRule, induced RateVector, lam, node): node is the argmin
+    node of the min-mincut under the induced rates.  One schedule leaves
+    nothing to split: it gets weight 1, and (lam, node) is the min-mincut
+    of its rates, found without numpy or scipy.  With more, an LP solves
+    for weights pi over the schedule set and, per sensor, a flow of
     common value lam from that sensor to the aggregator under the induced
     rate vector.  Each sensor's flow sees the full induced capacity (cuts
-    bound sensors separately).  Returns (SSSRule, induced RateVector, lam,
-    node): node is the argmin node of the min-mincut under the induced
-    rates, which cross-checks lam.
+    bound sensors separately), and the min-mincut cross-checks lam.
     """
+    schedule_set.validate_links(g)
+    schedules = schedule_set.schedules
+    if len(schedules) == 1:
+        induced = _induced_rates(g, schedules, {0: 1.0})
+        return (SSSRule({0: 1.0}), induced, *min_mincut(g, induced))
+
     import numpy as np
     import scipy.sparse as sp
     from scipy.optimize import linprog
 
-    schedule_set.validate_links(g)
-    schedules = list(schedule_set.schedules)
     n_sched = len(schedules)
     links = list(g.links)
     n_links = len(links)
@@ -547,10 +564,7 @@ def optimal_sss(g: NetworkGraph, schedule_set: ScheduleSet):
         )
     pi = {k: w / total for k, w in pi.items()}
     rule = SSSRule(pi)
-    induced = {l: 0.0 for l in links}
-    for k, w in pi.items():
-        for l, r in schedules[k].rates.items():
-            induced[l] += w * r
+    induced = _induced_rates(g, schedules, pi)
     lam = float(res.x[-1])
 
     # The returned lam must equal the min-mincut under the induced rates.
@@ -586,7 +600,7 @@ def analyze(g: NetworkGraph, schedule_set: ScheduleSet = None, trees=None) -> An
     """The Analysis of one topology, all of it under one rate vector.
 
     The rates are the wired capacities or, with a schedule set, those its
-    optimal split induces; delta_star is then the split LP's value.
+    optimal split induces; delta_star is then the split's value.
     """
     if schedule_set is None:
         rule, rates = None, g.capacity

@@ -132,6 +132,13 @@ class ExperimentConfig:
             raise BadParams(f"unknown policy {self.policy!r}")
         if not self.seeds:
             raise BadParams("need at least one seed")
+        # A field the run would never read is refused, not silently ignored.
+        if self.model == "wireline" and self.policy != "greedy-maxweight":
+            raise BadParams("wireline runs one policy, 'greedy-maxweight'; "
+                            f"got {self.policy!r}")
+        if self.split_weights is not None and self.policy != "fixed-split":
+            raise BadParams("split_weights are read only by policy 'fixed-split', "
+                            f"got {self.policy!r}")
         if self.sample_every is not None:
             if self.sample_every <= 0:
                 raise BadParams(f"sample_every must be positive, got {self.sample_every}")
@@ -198,8 +205,8 @@ def run_point(cfg: ExperimentConfig, lam: float, seed: int):
         # split weights and the SSS rule.
         rule = weights = None
         if cfg.policy == "static-sss":
-            # Best service split from the LP, rounds split by the optimal
-            # packing of the induced rates.
+            # Best service split, rounds split by the optimal packing of the
+            # induced rates.
             rule, packing = cfg.analysis.sss_rule, cfg.analysis.packing
             trees, weights = packing.trees, packing.weights
         else:

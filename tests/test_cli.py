@@ -186,6 +186,30 @@ def test_single_tree_policy_with_two_trees_is_one_line(runner, triangle_file):
     assert result.output == "Error: single-tree requires exactly one tree, got 2\n"
 
 
+def test_wireline_with_a_wireless_policy_is_one_line(runner, triangle_file):
+    result = runner.invoke(main, [
+        "simulate", "--model", "wireline", "--graph", triangle_file,
+        "--policy", "static-sss", "--lambda", "0.5", "--seed", "1", "--horizon", "10",
+    ])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == ("Error: wireline runs one policy, 'greedy-maxweight'; "
+                             "got 'static-sss'\n")
+
+
+def test_split_weights_without_fixed_split_is_one_line(runner, triangle_file, tmp_path):
+    cpath = tmp_path / "cfg.json"
+    cpath.write_text(json.dumps({"model": "wireless", "graph": triangle_file,
+                                 "lambdas": [0.3], "seeds": [1], "horizon": 100.0,
+                                 "policy": "fixed-split", "split_weights": [1.0, 0.0]}))
+    result = runner.invoke(main, ["sweep", "--config", str(cpath),
+                                  "--policy", "greedy-maxweight"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == ("Error: split_weights are read only by policy "
+                             "'fixed-split', got 'greedy-maxweight'\n")
+
+
 def test_too_many_trees_is_one_line(runner, triangle_file):
     result = runner.invoke(main, ["analyze", "--graph", triangle_file, "--tree-limit", "1"])
     assert result.exit_code == 1

@@ -430,6 +430,29 @@ def test_optimal_sss_matches_cut_form_oracle(instance):
     assert abs(flows.min_mincut(g, induced)[0] - lam) <= 1e-6
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_optimal_sss_one_schedule_is_its_min_mincut(seed, monkeypatch):
+    # One schedule leaves nothing to split: weight 1, its rates zero-filled
+    # over the links, and exactly the min-mincut of those rates, no LP.
+    def no_lp(*args, **kwargs):
+        raise AssertionError("a one-schedule split solved an LP")
+
+    monkeypatch.setattr("scipy.optimize.linprog", no_lp)
+    g = random_digraph(seed)
+    rng = random.Random(seed)
+    links = rng.sample(g.links, len(g.links))
+    assert len(links) >= 3
+    rates = {l: g.capacity[l] * rng.choice((0.5, 1.5, 2.5)) for l in links[2:]}
+    rates[links[1]] = 0.0  # links[0] is left out
+    schedule = flows.Schedule(tuple(rates), rates)
+    rule, induced, lam, node = flows.optimal_sss(g, flows.ScheduleSet((schedule,)))
+    assert rule.weights == {0: 1.0}
+    assert list(induced) == list(g.links)
+    assert induced == {l: rates.get(l, 0.0) for l in g.links}
+    assert induced[links[0]] == induced[links[1]] == 0.0
+    assert (lam, node) == flows.min_mincut(g, induced)
+
+
 def test_optimal_sss_at_scale():
     # Sizes the service-split LP only reaches when built sparse.
     g81 = graph.generate("grid", n=81)
@@ -587,6 +610,9 @@ harness.sweep(harness.ExperimentConfig(model="wireline", graph=k5, lambdas=[2.0]
 cfg = harness.ExperimentConfig(model="wireless", graph=k5, lambdas=[1.0], seeds=[1],
                                horizon=200, policy="greedy-maxweight")
 harness.run_point(cfg, 1.0, 1)
+harness.sweep(harness.ExperimentConfig(model="wireless", graph=k5, lambdas=[1.0], seeds=[1],
+                                       horizon=200, workers=1))
+assert flows.analyze(k5, flows.wireline_schedule_set(k5)).delta_star == 4.0
 print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] in ("numpy", "scipy"))))
 tri = graph.build_graph(3, 0, [(1, 0), (2, 0), (2, 1)], 1.0)
 packing = flows.tree_packing_lp(tri, tri.capacity, flows.enumerate_aggregation_trees(tri))
@@ -597,8 +623,9 @@ print(json.dumps([packing.total, flows.min_mincut(tri, tri.capacity)[0],
 
 def test_wireline_work_loads_no_solver(tmp_path, src_env):
     # A fresh interpreter runs the CLI import, a wired analysis, a wireline
-    # sweep and a greedy wireless point without numpy or scipy; the first
-    # packing LP then loads them and still reaches the min-mincut.
+    # sweep, a greedy wireless point and sweep on the wired schedule set and
+    # that set's service split without numpy or scipy; the first packing LP
+    # then loads them and still reaches the min-mincut.
     out = subprocess.run([sys.executable, "-c", LAZY_SOLVER_SCRIPT, str(tmp_path)],
                          env=src_env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr

@@ -98,6 +98,30 @@ def test_config_validation():
                          seeds=[1], horizon=10)
 
 
+@pytest.mark.parametrize("fields, message", [
+    (dict(model="wireless", split_weights=[1.0, 0.0]), "read only by policy 'fixed-split'"),
+    (dict(model="wireless", policy="static-sss", split_weights=[1.0]),
+     "read only by policy 'fixed-split'"),
+    (dict(model="wireline", policy="static-sss"), "wireline runs one policy"),
+    (dict(model="wireline", policy="fixed-split", split_weights=[1.0]),
+     "wireline runs one policy"),
+])
+def test_config_rejects_fields_the_run_never_reads(fields, message):
+    # Greedy routing would ignore the weights, and the wireline simulator
+    # the policy, while the summary reported them.
+    with pytest.raises(BadParams, match=message):
+        ExperimentConfig(lambdas=[1], seeds=[1], horizon=10, **fields)
+
+
+def test_config_accepts_fields_its_run_reads(triangle):
+    cfg = ExperimentConfig(model="wireless", graph=triangle, policy="fixed-split",
+                           split_weights=[1.0, 0.0], lambdas=[0.3], seeds=[1], horizon=200)
+    _, metrics = harness.run_point(cfg, 0.3, 1)
+    assert metrics.assigned_totals[1] == 0 < metrics.assigned_totals[0]
+    ExperimentConfig(model="wireline", policy="greedy-maxweight", lambdas=[1], seeds=[1],
+                     horizon=10)
+
+
 @pytest.mark.parametrize("model, every", [("wireline", 0.0), ("wireline", -2.0),
                                           ("wireless", 0.5), ("wireless", 0)])
 def test_config_rejects_bad_sample_every(model, every):
