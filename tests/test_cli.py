@@ -98,6 +98,60 @@ def test_simulate_wireless_static(runner, triangle_file, schedules_file, tmp_pat
     assert header.startswith("slot,total_useful,total_nonuseful,V,completed,mean_latency")
 
 
+# The exact `aggnet simulate` JSON of one seeded run per model: its keys in
+# order and every value.
+SIMULATE_JSON = {
+    "wireline": {
+        "completed": 237,
+        "mean_latency": 2.537583959913252,
+        "max_in_flight": 6,
+        "final_in_flight": 1,
+        "reestablished": 0,
+        "events": 713,
+        "model": "wireline",
+        "lambda": 0.5,
+        "seed": 3,
+        "horizon": 500.0,
+        "verdict": "stable",
+        "slope": 0.0017976513098464317,
+        "max_queue": 4,
+    },
+    "wireless": {
+        "completed": 142,
+        "mean_latency": 3.8661971830985915,
+        "max_backlog": 9,
+        "final_backlog": 3,
+        "per_tree_assigned": [71, 73],
+        "model": "wireless",
+        "lambda": 0.3,
+        "seed": 5,
+        "horizon": 500.0,
+        "verdict": "stable",
+        "slope": 0.0008180965775902485,
+        "max_queue": 9,
+    },
+}
+
+
+@pytest.mark.parametrize("model, args", [
+    ("wireline", ["--lambda", "0.5", "--seed", "3"]),
+    ("wireless", ["--lambda", "0.3", "--seed", "5"]),
+])
+def test_simulate_json_pinned(runner, triangle_file, schedules_file, tmp_path, model, args):
+    prefix = str(tmp_path / model)
+    if model == "wireless":
+        args = [*args, "--schedules", schedules_file]
+    result = runner.invoke(main, [
+        "simulate", "--model", model, "--graph", triangle_file, "--horizon", "500",
+        "--sample-every", "5", "--out-prefix", prefix, *args,
+    ])
+    assert result.exit_code == 0, result.output
+    summary = json.loads((tmp_path / f"{model}.json").read_text())
+    expected = {**SIMULATE_JSON[model], "csv": prefix + ".csv"}
+    assert list(summary) == list(expected)
+    assert summary == expected
+
+
 def test_simulate_requires_seed(runner, triangle_file):
     result = runner.invoke(main, [
         "simulate", "--model", "wireline", "--graph", triangle_file,

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from aggnet import checks, flows, fmux, graph, harness, wireless
+from aggnet import checks, flows, fmux, graph, harness, wireless, wireline
 from aggnet.errors import BadParams, MultiTreeConfig, SeriesTooShort
 from aggnet.harness import DetectorParams, ExperimentConfig, detect_stability
 
@@ -219,9 +219,19 @@ def test_sweep_reproducible_output(tmp_path, triangle):
     assert one(tmp_path / "a") == one(tmp_path / "b")
 
 
-# sha256 of one seeded run's CSV: changes to the wireless slot loop or to
-# the CSV writer must leave these bytes as they are.
+# sha256 of one seeded run's CSV per simulator: changes to the event or
+# slot loop or to the CSV writer must leave these bytes as they are.  The
+# wireline run is criterion 10's.
 WIRELESS_CSV_SHA256 = "cf9b98d57d66138dd6fbe4df7f12e5ac9f91ead05bc538b3b14525973259f257"
+WIRELINE_CSV_SHA256 = "261faacdf24e186b8e2e4e9a549e7f9ec1f48f9f1f1c73b71880f034af232ae7"
+
+
+def test_wireline_csv_bytes_pinned(tmp_path, k5):
+    m = wireline.run(k5, 3.0, fmux.make_parity(), seed=51, horizon=2000.0,
+                     sample_every=10.0)
+    path = tmp_path / "k5.csv"
+    harness.write_wireline_csv(m, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == WIRELINE_CSV_SHA256
 
 
 def test_wireless_csv_bytes_pinned(tmp_path):
