@@ -114,26 +114,9 @@ def simulate(model, graph_path, lam, func_name, k, alphabet_size, seed, horizon,
     verdict, metrics = harness.run_point(cfg, lam, seed)
     prefix = out_prefix or f"{model}_lam{lam:g}_seed{seed}"
     csv_path = prefix + ".csv"
-    if model == "wireline":
-        harness.write_wireline_csv(metrics, csv_path)
-        summary = {
-            "completed": metrics.completed,
-            "mean_latency": metrics.mean_latency,
-            "max_in_flight": metrics.max_in_flight,
-            "final_in_flight": metrics.final_in_flight,
-            "reestablished": metrics.reestablished,
-            "events": metrics.events,
-        }
-    else:
-        harness.write_wireless_csv(metrics, csv_path)
-        summary = {
-            "completed": metrics.completed,
-            "mean_latency": metrics.mean_latency,
-            "max_backlog": metrics.max_backlog,
-            "final_backlog": metrics.final_backlog,
-            "per_tree_assigned": metrics.assigned_totals,
-        }
-    summary.update({
+    metrics.write_csv(csv_path)
+    summary = {
+        **metrics.summary(),
         "model": model,
         "lambda": lam,
         "seed": seed,
@@ -142,7 +125,7 @@ def simulate(model, graph_path, lam, func_name, k, alphabet_size, seed, horizon,
         "slope": verdict.slope,
         "max_queue": verdict.max_queue,
         "csv": csv_path,
-    })
+    }
     with open(prefix + ".json", "w") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")

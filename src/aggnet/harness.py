@@ -1,11 +1,12 @@
-"""Experiment orchestration: sweeps, stability verdicts, CSV output.
+"""Experiment orchestration: sweeps and stability verdicts.
 
-A simulation run produces a backlog time series; the detector turns it
-into a stable / unstable / inconclusive verdict from the least-squares
-slope of the post-burn-in span (with per-window slopes as diagnostics)
-and a backlog cap, both scaled to the arrival rate.  Sweeps run a
-(lambda, seed) grid, persist per-run CSVs plus a JSON summary, and report
-the empirical critical rate next to the analytic one from the flow layer.
+A simulation run returns its simulator's run record, whose ``times`` and
+``backlog`` series the detector turns into a stable / unstable /
+inconclusive verdict from the least-squares slope of the post-burn-in
+span (with per-window slopes as diagnostics) and a backlog cap, both
+scaled to the arrival rate.  Sweeps run a (lambda, seed) grid, have each
+run record write its own CSV, persist a JSON summary, and report the
+empirical critical rate next to the analytic one from the flow layer.
 """
 from __future__ import annotations
 
@@ -145,6 +146,13 @@ class ExperimentConfig:
             if self.model == "wireless" and self.sample_every < 1:
                 raise BadParams(f"wireless sample_every must be at least one slot, "
                                 f"got {self.sample_every}")
+        if self.model == "wireless":
+            # The slot loop would drop a fraction of a slot without a word.
+            for name in ("horizon", "sample_every"):
+                value = getattr(self, name)
+                if value is not None and value % 1:
+                    raise BadParams(f"wireless {name} must be a whole number of slots, "
+                                    f"got {value}")
 
     @staticmethod
     def from_json(path, **overrides) -> "ExperimentConfig":
@@ -198,8 +206,6 @@ def run_point(cfg: ExperimentConfig, lam: float, seed: int):
             g, lam, func, seed, cfg.horizon,
             sample_every=cfg.sample_every, debug=cfg.debug,
         )
-        series = metrics.in_flight
-        times = metrics.times
     else:
         # Each policy is a choice of the simulator's inputs: the trees, the
         # split weights and the SSS rule.
@@ -222,9 +228,7 @@ def run_point(cfg: ExperimentConfig, lam: float, seed: int):
             sample_every=int(cfg.sample_every) if cfg.sample_every else None,
             debug=cfg.debug,
         )
-        series = metrics.backlog_series
-        times = metrics.slots
-    verdict = detect_stability(times, series, lam, g.n, params, seed=seed)
+    verdict = detect_stability(metrics.times, metrics.backlog, lam, g.n, params, seed=seed)
     return verdict, metrics
 
 
@@ -316,10 +320,7 @@ def sweep(cfg: ExperimentConfig) -> SweepResult:
         for (lam, seed), (_, metrics) in sorted(results.items()):
             name = f"{cfg.model}_{cfg.policy}_lam{lam:g}_seed{seed}.csv"
             path = os.path.join(cfg.output_dir, name)
-            if cfg.model == "wireline":
-                write_wireline_csv(metrics, path)
-            else:
-                write_wireless_csv(metrics, path)
+            metrics.write_csv(path)
             result.csv_paths[(lam, seed)] = path
         with open(os.path.join(cfg.output_dir, "summary.json"), "w") as fh:
             json.dump(result.summary(), fh, indent=2)
@@ -327,25 +328,10 @@ def sweep(cfg: ExperimentConfig) -> SweepResult:
     return result
 
 
-# ---------------------------------------------------------------------------
-# CSV output
-# ---------------------------------------------------------------------------
-
-def write_wireline_csv(metrics: wireline.WirelineMetrics, path):
-    with open(path, "w") as fh:
-        fh.write("time,rounds_in_flight,completed,mean_latency\n")
-        for t, q, c, ml in metrics.csv_rows():
-            fh.write(f"{t:.6f},{q},{c},{ml:.6f}\n")
-
-
-def write_wireless_csv(metrics: wireless.WirelessMetrics, path):
-    with open(path, "w") as fh:
-        tree_cols = ",".join(f"tree_{k}" for k in range(metrics.tree_count))
-        fh.write(f"slot,total_useful,total_nonuseful,V,completed,mean_latency,{tree_cols}\n")
-        for row in metrics.csv_rows():
-            slot, useful, nonuseful, v, completed, ml, *loads = row
-            loads_txt = ",".join(map(str, loads))
-            fh.write(f"{slot},{useful},{nonuseful},{v:.1f},{completed},{ml:.6f},{loads_txt}\n")
+# The benchmark's traced pass (perfbench/workloads.py) times CSV writing by
+# wrapping these two names; they stay until it wraps the records' write_csv.
+write_wireline_csv = wireline.WirelineMetrics.write_csv
+write_wireless_csv = wireless.WirelessMetrics.write_csv
 
 
 # ---------------------------------------------------------------------------

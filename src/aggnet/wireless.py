@@ -290,11 +290,14 @@ class _WRound:
 
 @dataclass
 class WirelessMetrics:
+    """One run's record: ``times`` (slots) and ``backlog`` (useful plus
+    not-useful packets) feed the stability detector; ``summary()`` and
+    ``write_csv`` (one cumulative assignment column per tree) report the run."""
     lam: float
     seed: int
     horizon: int
     tree_count: int
-    slots: list = field(default_factory=list)
+    times: list = field(default_factory=list)
     total_useful: list = field(default_factory=list)
     total_nonuseful: list = field(default_factory=list)
     lyapunov: list = field(default_factory=list)
@@ -313,20 +316,24 @@ class WirelessMetrics:
         return self.latency_sum / self.completed if self.completed else 0.0
 
     @property
-    def backlog_series(self):
+    def backlog(self):
         return [u + nu for u, nu in zip(self.total_useful, self.total_nonuseful)]
 
-    def csv_rows(self):
-        for k in range(len(self.slots)):
-            yield (
-                self.slots[k],
-                self.total_useful[k],
-                self.total_nonuseful[k],
-                self.lyapunov[k],
-                self.completed_series[k],
-                self.mean_latency_series[k],
-                *self.per_tree_assigned[k],
-            )
+    def summary(self) -> dict:
+        return {"completed": self.completed, "mean_latency": self.mean_latency,
+                "max_backlog": self.max_backlog, "final_backlog": self.final_backlog,
+                "per_tree_assigned": self.assigned_totals}
+
+    def write_csv(self, path):
+        with open(path, "w") as fh:
+            tree_cols = ",".join(f"tree_{k}" for k in range(self.tree_count))
+            fh.write(f"slot,total_useful,total_nonuseful,V,completed,mean_latency,{tree_cols}\n")
+            for slot, useful, nonuseful, v, completed, ml, loads in zip(
+                    self.times, self.total_useful, self.total_nonuseful, self.lyapunov,
+                    self.completed_series, self.mean_latency_series, self.per_tree_assigned):
+                loads_txt = ",".join(map(str, loads))
+                fh.write(f"{slot},{useful},{nonuseful},{v:.1f},{completed},{ml:.6f},"
+                         f"{loads_txt}\n")
 
 
 class WirelessSimulator:
@@ -612,7 +619,7 @@ class WirelessSimulator:
             if debug:
                 self._assert_queue_counts(u_total, nu_total)
             if sample_every and slot % sample_every == 0:
-                m.slots.append(slot)
+                m.times.append(slot)
                 m.total_useful.append(u_total)
                 m.total_nonuseful.append(nu_total)
                 m.lyapunov.append(lyapunov_value(link_counts))

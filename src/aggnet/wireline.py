@@ -154,11 +154,13 @@ class _Round:
 
 @dataclass
 class WirelineMetrics:
+    """One run's record: ``times`` and ``backlog`` (rounds in flight) feed the
+    stability detector; ``summary()`` and ``write_csv`` report the run."""
     lam: float
     seed: int
     horizon: float
     times: list = field(default_factory=list)
-    in_flight: list = field(default_factory=list)
+    backlog: list = field(default_factory=list)
     completed_series: list = field(default_factory=list)
     mean_latency_series: list = field(default_factory=list)
     footprint_class_series: list = field(default_factory=list)
@@ -173,11 +175,17 @@ class WirelineMetrics:
     def mean_latency(self):
         return self.latency_sum / self.completed if self.completed else 0.0
 
-    def csv_rows(self):
-        for t, q, c, ml in zip(
-            self.times, self.in_flight, self.completed_series, self.mean_latency_series
-        ):
-            yield (t, q, c, ml)
+    def summary(self) -> dict:
+        return {"completed": self.completed, "mean_latency": self.mean_latency,
+                "max_in_flight": self.max_in_flight, "final_in_flight": self.final_in_flight,
+                "reestablished": self.reestablished, "events": self.events}
+
+    def write_csv(self, path):
+        with open(path, "w") as fh:
+            fh.write("time,rounds_in_flight,completed,mean_latency\n")
+            for t, q, c, ml in zip(self.times, self.backlog, self.completed_series,
+                                   self.mean_latency_series):
+                fh.write(f"{t:.6f},{q},{c},{ml:.6f}\n")
 
 
 class WirelineSimulator:
@@ -622,7 +630,7 @@ class WirelineSimulator:
 
     def _sample(self, m, t, track_classes):
         m.times.append(t)
-        m.in_flight.append(self.in_flight)
+        m.backlog.append(self.in_flight)
         m.completed_series.append(m.completed)
         m.mean_latency_series.append(m.mean_latency)
         if track_classes:

@@ -209,14 +209,14 @@ def test_criterion_10_determinism(tmp_path, k5, channel3):
     def wireline_bytes(path):
         m = wireline.run(k5, 3.0, fmux.make_parity(), seed=51, horizon=2000.0,
                          sample_every=10.0)
-        harness.write_wireline_csv(m, path)
+        m.write_csv(path)
         return path.read_bytes()
 
     def wireless_bytes(path):
         trees = flows.enumerate_aggregation_trees(g3)
         m = wireless.run(g3, ss, trees, fmux.make_parity(), lam=0.45, seed=52,
                          horizon=5000, sample_every=10)
-        harness.write_wireless_csv(m, path)
+        m.write_csv(path)
         return path.read_bytes()
 
     assert wireline_bytes(tmp_path / "wl1.csv") == wireline_bytes(tmp_path / "wl2.csv")

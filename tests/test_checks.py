@@ -1,11 +1,12 @@
+import dataclasses
 import random
 import subprocess
 import sys
 
 import pytest
 
-from aggnet import checks, fmux, wireline
-from aggnet.errors import BadParams
+from aggnet import checks, flows, fmux, wireless, wireline
+from aggnet.errors import BadParams, OracleMismatch
 
 
 # ---------------------------------------------------------------------------
@@ -117,3 +118,23 @@ def test_verify_fails_under_optimize(src_env):
     out = subprocess.run([sys.executable, "-O", "-c", script], env=src_env,
                          capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# per-round oracle
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("model, round_id", [("wireline", 3), ("wireless", 1)])
+def test_oracle_fires_on_a_combine_that_drops_a_payload(triangle, model, round_id):
+    # Every completed round is checked against the offline value, so a
+    # combine that keeps only its first payload is caught at the first round
+    # where it drops a 1.
+    bad = dataclasses.replace(fmux.make_parity(), combine=lambda p, q: p)
+    with pytest.raises(OracleMismatch) as exc:
+        if model == "wireline":
+            wireline.run(triangle, 0.5, bad, seed=1, horizon=1000.0)
+        else:
+            wireless.run(triangle, flows.wireline_schedule_set(triangle),
+                         flows.enumerate_aggregation_trees(triangle), bad,
+                         lam=0.5, seed=1, horizon=1000)
+    assert exc.value.round_id == round_id

@@ -105,12 +105,17 @@ def test_config_validation():
     (dict(model="wireline", policy="static-sss"), "wireline runs one policy"),
     (dict(model="wireline", policy="fixed-split", split_weights=[1.0]),
      "wireline runs one policy"),
+    (dict(model="wireless", horizon=100.9), "horizon must be a whole number of slots"),
+    (dict(model="wireless", horizon=float("inf")), "horizon must be a whole number"),
+    (dict(model="wireless", horizon=100.0, sample_every=2.5),
+     "sample_every must be a whole number of slots"),
 ])
 def test_config_rejects_fields_the_run_never_reads(fields, message):
-    # Greedy routing would ignore the weights, and the wireline simulator
-    # the policy, while the summary reported them.
+    # Greedy routing would ignore the weights, the wireline simulator the
+    # policy and the slot loop a fraction of a slot, while the summary
+    # reported them.
     with pytest.raises(BadParams, match=message):
-        ExperimentConfig(lambdas=[1], seeds=[1], horizon=10, **fields)
+        ExperimentConfig(**{"lambdas": [1], "seeds": [1], "horizon": 10, **fields})
 
 
 def test_config_accepts_fields_its_run_reads(triangle):

@@ -1,9 +1,11 @@
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "aggnet"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "aggnet"
 
 
 def used_names(scope):
@@ -57,3 +59,19 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_benchmark_hooks_find_their_names(monkeypatch):
+    # The benchmark's traced pass wraps package attributes by name; a rename
+    # that removes one makes it raise.  Patching and restoring must also
+    # leave every attribute as it was.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spans = importlib.import_module("spans")
+    workloads = importlib.import_module("workloads")
+    tracer = spans.Tracer()
+    workloads.trace_layers(tracer, {})
+    patched = list(tracer._patched)
+    assert patched
+    tracer.restore()
+    for owner, attr, original in patched:
+        assert getattr(owner, attr) is original, attr

@@ -284,7 +284,7 @@ def test_run_deterministic(triangle, shared_channel):
                      lam=0.4, seed=10, horizon=3000)
     b = wireless.run(triangle, shared_channel, trees, fmux.make_parity(),
                      lam=0.4, seed=10, horizon=3000)
-    assert a.backlog_series == b.backlog_series
+    assert a.backlog == b.backlog
     assert a.completed == b.completed
 
 
@@ -708,5 +708,5 @@ def test_seeded_runs_match_recorded_output(name):
     m = _golden_run(name)
     got = (m.completed, repr(m.latency_sum), m.max_backlog, m.final_backlog,
            sorted(m.schedule_counts.items()), m.assigned_totals,
-           m.backlog_series[-50:], m.lyapunov[-50:])
+           m.backlog[-50:], m.lyapunov[-50:])
     assert got == GOLDEN[name]

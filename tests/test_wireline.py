@@ -318,13 +318,13 @@ def test_zero_capacity_link_stays_idle():
 def test_run_almost_no_arrivals(triangle):
     m = wireline.run(triangle, 1e-6, fmux.make_parity(), seed=4, horizon=1000.0)
     assert m.max_in_flight <= 1
-    assert all(q <= 1 for q in m.in_flight)
+    assert all(q <= 1 for q in m.backlog)
 
 
 def test_run_deterministic(triangle):
     a = wireline.run(triangle, 0.7, fmux.make_parity(), seed=11, horizon=500.0)
     b = wireline.run(triangle, 0.7, fmux.make_parity(), seed=11, horizon=500.0)
-    assert a.in_flight == b.in_flight
+    assert a.backlog == b.backlog
     assert a.completed == b.completed
     assert a.times == b.times
 
@@ -435,7 +435,7 @@ def _golden_run(name):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_seeded_runs_match_recorded_output(name):
     m = _golden_run(name)
-    got = (m.events, m.completed, repr(m.latency_sum), m.max_in_flight, m.in_flight[-50:])
+    got = (m.events, m.completed, repr(m.latency_sum), m.max_in_flight, m.backlog[-50:])
     assert got == GOLDEN[name]
 
 
