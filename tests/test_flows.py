@@ -464,6 +464,31 @@ def test_optimal_sss_at_scale():
     assert abs(lam - 1.0 / 48) <= 1e-6
 
 
+# Recorded from the split LP with sparse constraint matrices: (number of
+# schedules, {schedule index: repr(weight)} for every weight that is not
+# 0.0, repr(lam), node).  The triangle's LP is small, grid16's is not.
+SPLIT_GOLDEN = {
+    "triangle": (3, {0: "0.5", 2: "0.5"}, "0.5", 1),
+    "grid16": (48, {k: "0.06666666666666668" for k in (2, 5, 9, 16, 19, 26, 29, 31, 33,
+                                                       37, 43, 45, 47)}
+               | {6: "0.06666666666666667", 15: "0.06666666666666667"},
+               "0.06666666666666667", 0),
+}
+
+
+@pytest.mark.parametrize("name", list(SPLIT_GOLDEN))
+def test_optimal_sss_matches_recorded_output(name):
+    g = (graph.build_graph(3, 0, [(1, 0), (2, 0), (2, 1)], 1.0) if name == "triangle"
+         else graph.generate("grid", n=16))
+    one_link = flows.ScheduleSet(tuple(flows.Schedule((l,), {l: 1.0}) for l in g.links))
+    count, nonzero, lam, node = SPLIT_GOLDEN[name]
+    rule, _, got_lam, got_node = flows.optimal_sss(g, one_link)
+    assert [repr(w) for w in rule.weights.values()] == [nonzero.get(k, "0.0")
+                                                       for k in range(count)]
+    assert list(rule.weights) == list(range(count))
+    assert (repr(got_lam), got_node) == (lam, node)
+
+
 def test_flows_determinism(triangle, shared_channel):
     a = flows.optimal_sss(triangle, shared_channel)
     b = flows.optimal_sss(triangle, shared_channel)
