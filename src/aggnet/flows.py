@@ -19,15 +19,22 @@ AggregationTree.validate, and mapped to link rows in one step.
 Rates are packets per time unit throughout; the single bits-to-rounds
 conversion lives in max_refresh_rate.
 
+Both LPs go to HiGHS through one entry point, _solve_lp, the only caller
+of linprog: it hands small constraint matrices over dense, which skips
+part of the wrapper's per-call cost, and names the LP in the error when
+the solver fails.  An LP whose answer is forced is not solved: a packing
+of one tree is that tree's smallest link capacity, and a split over one
+schedule is the min-mincut of its rates.
+
 numpy and scipy are imported only inside the functions that build or
-solve an LP: _tree_incidence, tree_packing_lp, _coo and optimal_sss,
-which solves no LP for a one-schedule set such as the wired one.  Max
-flow, the min-mincut, enumeration and both simulators are pure Python,
-so a process that solves no LP (a wireline sweep, analyze without trees
-and with at most one schedule, a greedy or single-tree wireless sweep on
-one schedule) never loads them, and starts in about a sixth of the time
-and a quarter of the memory.  The first LP call in a process pays the
-import once.
+solve an LP: _solve_lp, _tree_incidence, _coo, and tree_packing_lp and
+optimal_sss past their one-tree and one-schedule returns.  Max flow, the
+min-mincut, enumeration and both simulators are pure Python, so a
+process that solves no LP (a wireline sweep, analyze without trees or
+with one, and with at most one schedule, a greedy or single-tree
+wireless sweep on one schedule) never loads them, and starts in about a
+sixth of the time and a quarter of the memory.  The first LP call in a
+process pays the import once.
 """
 from __future__ import annotations
 
@@ -144,6 +151,41 @@ class SSSRule:
             raise BadParams("SSS weights must be nonnegative")
         if abs(total - 1.0) > 1e-9:
             raise BadParams(f"SSS weights sum to {total}, expected 1")
+
+
+# ---------------------------------------------------------------------------
+# The LP entry point
+# ---------------------------------------------------------------------------
+
+# Constraint matrices with at most this many entries, rows times columns
+# over A_ub and A_eq together, go to HiGHS dense.  linprog converts a dense
+# matrix to the same CSC layout as a sparse one (ours hold no explicit
+# zeros), so the model and its solution are the same; it only skips the
+# wrapper's sparse handling.  Per linprog call, LPs under 10k entries run
+# 0.1-0.4 ms faster dense, K6's split (31.9k) and packing (38.9k) tie,
+# grid9's one-link split (55.8k) is 0.2 ms slower and grid16's (727k)
+# twice as slow.
+_DENSE_LP_ENTRIES = 1 << 15
+
+
+def _solve_lp(label, c, a_ub, b_ub, a_eq=None, b_eq=None):
+    """Minimize c @ x over x >= 0, a_ub @ x <= b_ub, a_eq @ x == b_eq, by HiGHS.
+
+    The matrices are scipy sparse.  This is the package's one call to
+    linprog, looked up at each call.  Raises LPNumericalFailure, named by
+    `label`, when the solver reports no optimum.
+    """
+    from scipy.optimize import linprog
+
+    entries = sum(a.shape[0] * a.shape[1] for a in (a_ub, a_eq) if a is not None)
+    if entries <= _DENSE_LP_ENTRIES:
+        a_ub = a_ub.toarray()
+        a_eq = None if a_eq is None else a_eq.toarray()
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                  bounds=(0, None), method="highs")
+    if not res.success:
+        raise LPNumericalFailure(f"{label} LP failed: {res.message}")
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -416,26 +458,29 @@ def tree_packing_lp(g: NetworkGraph, caps: RateVector, trees) -> TreePacking:
     """Maximize the total weight over the given trees subject to link capacities.
 
     When `trees` is the full set of aggregation trees the optimum equals the
-    min-mincut.  The floating-point solution is re-verified: primal
-    feasibility within 1e-9 and dual optimality (complementary slackness)
-    within 1e-8, else LPNumericalFailure.
+    min-mincut.  One tree needs no LP: it is checked and gets weight equal
+    to its smallest link capacity, without numpy or scipy.  With more, the
+    floating-point solution is re-verified: primal feasibility within 1e-9
+    and dual optimality (complementary slackness) within 1e-8, else
+    LPNumericalFailure.
     """
-    import numpy as np
-    from scipy.optimize import linprog
-
     trees = list(trees)
     if not trees:
         raise BadParams("need at least one tree")
+    if len(trees) == 1:
+        (tree,) = trees
+        tree.validate(g)
+        validate_rates(g, caps)
+        return TreePacking((tree,), (float(min(caps[l] for l in tree.tree_links)),))
+
+    import numpy as np
+
     a_ub = _tree_incidence(g, trees)
     validate_rates(g, caps)
 
     n_trees = len(trees)
     b_ub = np.array([caps[l] for l in g.links])
-    c = -np.ones(n_trees)
-
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs")
-    if not res.success:
-        raise LPNumericalFailure(f"tree packing LP failed: {res.message}")
+    res = _solve_lp("tree packing", -np.ones(n_trees), a_ub, b_ub)
     x = np.maximum(res.x, 0.0)
 
     scale = max(1.0, float(np.max(b_ub)))
@@ -504,7 +549,6 @@ def optimal_sss(g: NetworkGraph, schedule_set: ScheduleSet):
 
     import numpy as np
     import scipy.sparse as sp
-    from scipy.optimize import linprog
 
     n_sched = len(schedules)
     links = list(g.links)
@@ -543,17 +587,7 @@ def optimal_sss(g: NetworkGraph, schedule_set: ScheduleSet):
 
     c = np.zeros(a_eq.shape[1])
     c[-1] = -1.0
-    res = linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=np.zeros(n_flows),
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=(0, None),
-        method="highs",
-    )
-    if not res.success:
-        raise LPNumericalFailure(f"service split LP failed: {res.message}")
+    res = _solve_lp("service split", c, a_ub, np.zeros(n_flows), a_eq, b_eq)
 
     pi = {k: float(max(res.x[k], 0.0)) + 0.0 for k in range(n_sched)}
     total = sum(pi.values())

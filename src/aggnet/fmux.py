@@ -14,6 +14,11 @@ Built-in instances:
   largest values seen so far, padded with a sentinel, since the k-th
   largest of a union is computable from per-part top-k sets.  The range
   size is the number of k-element multisets of the alphabet.
+
+Each payload entry goes on the wire as one byte, so an alphabet holds at
+most 256 values, and 255 for kth, whose entries may also be the pad.
+FmuxFunction checks its parameters itself, so every constructor and
+config path refuses the same bad values.
 """
 from __future__ import annotations
 
@@ -27,12 +32,14 @@ from .errors import BadParams, ValueOutOfAlphabet
 # alphabets are nonnegative ints so -1 never collides.
 _PAD = -1
 
+# Values one payload byte keeps apart.
+_BYTE_VALUES = 256
+
 
 @dataclass(frozen=True)
 class FmuxFunction:
     name: str
     alphabet_size: int
-    range_size: int
     lift: Callable
     combine: Callable
     finalize: Callable
@@ -40,6 +47,24 @@ class FmuxFunction:
     empty_payload: object     # what a node holds before anything is merged in
     encode_payload: Callable  # fixed-width wire encoding
     k: int | None = None
+
+    def __post_init__(self):
+        # An order statistic's payload entries may also be the pad, which
+        # takes one of the byte's values.
+        most = _BYTE_VALUES - (self.k is not None)
+        if not 1 <= self.alphabet_size <= most:
+            raise BadParams(f"alphabet size must be between 1 and {most}, "
+                            f"got {self.alphabet_size}")
+        if self.k is not None and self.k < 1:
+            raise BadParams("kth requires k >= 1")
+
+    @property
+    def range_size(self) -> int:
+        """Output values: the alphabet, or for the k-th largest the k-element
+        multisets of the alphabet (a top-k payload holds one)."""
+        if self.k is None:
+            return self.alphabet_size
+        return math.comb(self.alphabet_size + self.k - 1, self.k)
 
     @property
     def log2_range(self) -> float:
@@ -58,7 +83,6 @@ def make_parity() -> FmuxFunction:
     return FmuxFunction(
         name="parity",
         alphabet_size=2,
-        range_size=2,
         lift=lambda x: x,
         combine=lambda p, q: p ^ q,
         finalize=lambda p: p,
@@ -75,7 +99,6 @@ def make_max(alphabet_size=16) -> FmuxFunction:
     return FmuxFunction(
         name="max",
         alphabet_size=alphabet_size,
-        range_size=alphabet_size,
         lift=lambda x: x,
         combine=lambda p, q: p if p >= q else q,
         finalize=lambda p: p,
@@ -87,8 +110,6 @@ def make_max(alphabet_size=16) -> FmuxFunction:
 
 def make_kth(k, alphabet_size=16) -> FmuxFunction:
     """k-th order statistic (k-th largest)."""
-    if k < 1:
-        raise BadParams("kth requires k >= 1")
 
     def lift(x):
         return (x,) + (_PAD,) * (k - 1)
@@ -123,7 +144,6 @@ def make_kth(k, alphabet_size=16) -> FmuxFunction:
     return FmuxFunction(
         name="kth",
         alphabet_size=alphabet_size,
-        range_size=math.comb(alphabet_size + k - 1, k),
         lift=lift,
         combine=combine,
         finalize=finalize,
@@ -144,12 +164,14 @@ def make_function(name, alphabet_size=None, k=None) -> FmuxFunction:
         if alphabet_size not in (None, 2):
             raise BadParams("parity is defined over the binary alphabet")
         return make_parity()
+    if alphabet_size is None:
+        alphabet_size = 16
     if name == "max":
-        return make_max(alphabet_size or 16)
+        return make_max(alphabet_size)
     if name == "kth":
         if k is None:
             raise BadParams("kth requires k")
-        return make_kth(k, alphabet_size or 16)
+        return make_kth(k, alphabet_size)
     raise BadParams(f"unknown function {name!r}")
 
 

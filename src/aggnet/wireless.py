@@ -350,8 +350,6 @@ class WirelessSimulator:
                  debug: bool = False):
         schedule_set.validate_links(g)
         _integral_rates(schedule_set)
-        if func.alphabet_size < 1:
-            raise BadParams(f"alphabet size must be positive, got {func.alphabet_size}")
         if func.k and func.k > len(g.sensors):
             raise BadParams(
                 f"order statistic k={func.k} needs at least k sensors, "

@@ -149,6 +149,11 @@ def test_packing_rejects_invalid_tree_among_valid(k5, pairs, message):
     with pytest.raises(BadParams) as packed:
         flows.tree_packing_lp(k5, k5.capacity, trees[:60] + [bad] + trees[60:])
     assert str(packed.value) == str(direct.value)
+    # Alone it solves no LP, and is still checked before the rates.
+    for caps in (k5.capacity, {}):
+        with pytest.raises(BadParams) as alone:
+            flows.tree_packing_lp(k5, caps, [bad])
+        assert str(alone.value) == str(direct.value)
 
 
 def test_packing_reports_first_invalid_tree(k5):
@@ -205,6 +210,39 @@ def test_packing_equals_min_mincut_on_random_digraphs():
         packing = flows.tree_packing_lp(g, g.capacity, trees)
         assert abs(packing.total - cut) <= 1e-6, f"seed {seed}"
         assert packing.max_violation(g) <= 1e-9
+
+
+@st.composite
+def digraph_tree_caps(draw):
+    g = random_digraph(draw(st.integers(0, 10_000)), n_max=6)
+    tree = draw(st.sampled_from(flows.enumerate_aggregation_trees(g)))
+    kind = draw(st.sampled_from(["int", "eighths", "zero", "float"]))
+    value = {"int": st.integers(0, 5), "eighths": st.integers(0, 40).map(lambda k: k / 8),
+             "zero": st.just(0), "float": st.floats(0.0, 100.0)}[kind]
+    return g, {l: draw(value) for l in g.links}, tree, kind
+
+
+@settings(max_examples=200, deadline=None)
+@given(digraph_tree_caps())
+def test_one_tree_packing_is_the_lp_answer(instance):
+    # One tree solves no LP: its weight is its smallest link capacity, as a
+    # float, and on integer and eighth capacities the very float the LP
+    # returns.  On arbitrary floats HiGHS may stop anywhere within its
+    # primal feasibility tolerance (1e-7) of that capacity, for instance at
+    # a nearly tied one, or above a zero when another is below 1e-7.
+    g, caps, tree, kind = instance
+    links = set(tree.tree_links)
+    res = linprog([-1.0], A_ub=np.array([[float(l in links)] for l in g.links]),
+                  b_ub=[caps[l] for l in g.links], bounds=(0, None), method="highs")
+    assert res.success
+    lp = float(np.maximum(res.x, 0.0)[0])
+    (weight,) = flows.tree_packing_lp(g, caps, [tree]).weights
+    assert type(weight) is float
+    assert weight == min(caps[l] for l in links)
+    if kind == "float":
+        assert abs(weight - lp) <= 1e-7 * max(1.0, weight)
+    else:
+        assert repr(weight) == repr(lp)
 
 
 def test_example5_witness_packing(k5):
@@ -630,6 +668,8 @@ from aggnet import flows, graph, harness
 
 k5 = graph.generate("complete", n=5, capacity=1.0)
 assert flows.analyze(k5).delta_star == 4.0
+star = flows.AggregationTree.from_parent_map({i: 0 for i in k5.sensors})
+assert flows.analyze(k5, trees=[star]).packing.weights == (1.0,)
 harness.sweep(harness.ExperimentConfig(model="wireline", graph=k5, lambdas=[2.0], seeds=[1],
                                        horizon=200, workers=1, output_dir=sys.argv[1]))
 cfg = harness.ExperimentConfig(model="wireless", graph=k5, lambdas=[1.0], seeds=[1],
@@ -638,7 +678,8 @@ harness.run_point(cfg, 1.0, 1)
 harness.sweep(harness.ExperimentConfig(model="wireless", graph=k5, lambdas=[1.0], seeds=[1],
                                        horizon=200, workers=1))
 assert flows.analyze(k5, flows.wireline_schedule_set(k5)).delta_star == 4.0
-print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] in ("numpy", "scipy"))))
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.partition(".")[0] in ("numpy", "scipy", "multiprocessing"))))
 tri = graph.build_graph(3, 0, [(1, 0), (2, 0), (2, 1)], 1.0)
 packing = flows.tree_packing_lp(tri, tri.capacity, flows.enumerate_aggregation_trees(tri))
 print(json.dumps([packing.total, flows.min_mincut(tri, tri.capacity)[0],
@@ -647,10 +688,11 @@ print(json.dumps([packing.total, flows.min_mincut(tri, tri.capacity)[0],
 
 
 def test_wireline_work_loads_no_solver(tmp_path, src_env):
-    # A fresh interpreter runs the CLI import, a wired analysis, a wireline
-    # sweep, a greedy wireless point and sweep on the wired schedule set and
-    # that set's service split without numpy or scipy; the first packing LP
-    # then loads them and still reaches the min-mincut.
+    # A fresh interpreter runs the CLI import, a wired analysis, a one-tree
+    # packing, a wireline sweep, a greedy wireless point and sweep on the
+    # wired schedule set and that set's service split without numpy, scipy
+    # or multiprocessing; the first packing LP then loads numpy and scipy
+    # and still reaches the min-mincut.
     out = subprocess.run([sys.executable, "-c", LAZY_SOLVER_SCRIPT, str(tmp_path)],
                          env=src_env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr

@@ -116,6 +116,41 @@ def test_factory_and_config():
         fmux.make_function("median")
 
 
+@pytest.mark.parametrize("make", [
+    lambda: fmux.make_max(0),
+    lambda: fmux.make_max(-3),
+    lambda: fmux.make_kth(2, 0),
+    lambda: fmux.make_kth(2, -3),
+    lambda: fmux.make_function("max", alphabet_size=0),
+    lambda: fmux.function_from_config({"name": "kth", "k": 1, "alphabet_size": 0}),
+], ids=["max-0", "max-negative", "kth-0", "kth-negative", "factory-0", "config-0"])
+def test_empty_alphabet_refused(make):
+    # No value could be sensed; the config path used to fall back to 16.
+    with pytest.raises(BadParams, match="alphabet size"):
+        make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: fmux.make_max(257),
+    lambda: fmux.make_max(300),
+    lambda: fmux.make_kth(2, 256),
+    lambda: fmux.make_function("kth", k=1, alphabet_size=300),
+], ids=["max-257", "max-300", "kth-256", "factory-300"])
+def test_alphabet_beyond_one_payload_byte_refused(make):
+    # One byte per payload entry: 299 and 43 would both go out as b"+".
+    with pytest.raises(BadParams, match="alphabet size"):
+        make()
+
+
+def test_largest_alphabets_encode_apart():
+    f = fmux.make_max(256)
+    assert len({f.encode_payload(x) for x in range(256)}) == 256
+    # kth's entries may also be the pad, so its alphabet stops one short.
+    f = fmux.make_kth(1, 255)
+    encoded = {f.encode_payload(f.lift(x)) for x in range(255)}
+    assert len(encoded | {f.encode_payload(f.empty_payload)}) == 256
+
+
 def test_empty_payload_is_identity():
     for f in (fmux.make_parity(), fmux.make_max(16), fmux.make_kth(2, 16)):
         lifted = f.lift(5 % f.alphabet_size)

@@ -193,6 +193,16 @@ def test_sweep_wireline_bracket(tmp_path, triangle):
     assert (tmp_path / "out" / "summary.json").exists()
 
 
+@pytest.mark.parametrize("size", [0, -3])
+def test_wireline_sweep_refuses_an_empty_alphabet(tmp_path, triangle, size):
+    # Once a silent alphabet of 16 and a bare ValueError from the first draw.
+    cfg = ExperimentConfig(model="wireline", graph=triangle, lambdas=[0.5], seeds=[1],
+                           horizon=10.0, function={"name": "max", "alphabet_size": size},
+                           output_dir=str(tmp_path))
+    with pytest.raises(BadParams, match="alphabet size"):
+        harness.sweep(cfg)
+
+
 @pytest.mark.parametrize("function", [
     {"name": "max", "alphabet_size": 16},
     {"name": "kth", "k": 2, "alphabet_size": 16},

@@ -61,6 +61,42 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def scopes_naming(source, name):
+    """Innermost functions (or "<module>") that read, import or bind an
+    attribute called `name`; strings do not count."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef):
+            scope = node.name
+        if (isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, ast.alias)
+                and name in (node.name.rpartition(".")[2], node.asname)):
+            found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_scopes_naming_finds_every_form():
+    source = ('"""linprog in a docstring"""\nimport scipy.optimize.linprog\n'
+              "def f():\n    from scipy.optimize import linprog as lp\n"
+              "def g():\n    def h():\n        return scipy.optimize.linprog\n"
+              "def k():\n    return linprog()\n")
+    assert scopes_naming(source, "linprog") == {"<module>", "f", "h", "k"}
+
+
+def test_one_function_calls_the_lp_solver():
+    # Every LP goes through one entry point, which picks dense or sparse
+    # input and turns a failed solve into LPNumericalFailure.
+    sites = {(path.name, scope) for path in sorted(SRC.glob("*.py"))
+             for scope in scopes_naming(path.read_text(), "linprog")}
+    assert sites == {("flows.py", "_solve_lp")}
+
+
 def test_benchmark_hooks_find_their_names(monkeypatch):
     # The benchmark's traced pass wraps package attributes by name; a rename
     # that removes one makes it raise.  Patching and restoring must also
