@@ -39,6 +39,7 @@ process pays the import once.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
@@ -58,6 +59,8 @@ def validate_rates(g: NetworkGraph, rates: RateVector):
     for link, r in rates.items():
         if r < 0:
             raise BadParams(f"negative rate {r} on link {link}")
+        if not math.isfinite(r):
+            raise BadParams(f"rate {r} on link {link} is not finite")
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,20 @@ def test_packing_rejects_invalid_tree_among_valid(k5, pairs, message):
         assert str(alone.value) == str(direct.value)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_packing_rejects_non_finite_rates(triangle, bad):
+    # One tree takes its smallest capacity, which a nan would make depend
+    # on the link order; the LP refused such bounds with a bare ValueError.
+    trees = flows.enumerate_aggregation_trees(triangle)
+    caps = dict(triangle.capacity)
+    caps[(2, 0)] = bad
+    for packed in ([trees[0]], trees):
+        with pytest.raises(BadParams, match="not finite"):
+            flows.tree_packing_lp(triangle, caps, packed)
+    with pytest.raises(BadParams, match="not finite"):
+        flows.min_mincut(triangle, caps)
+
+
 def test_packing_reports_first_invalid_tree(k5):
     trees = flows.enumerate_aggregation_trees(k5)
     cycle = flows.AggregationTree(((1, 2), (2, 1), (3, 0), (4, 0)))

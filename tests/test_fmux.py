@@ -123,21 +123,16 @@ def test_factory_and_config():
     lambda: fmux.make_kth(2, -3),
     lambda: fmux.make_function("max", alphabet_size=0),
     lambda: fmux.function_from_config({"name": "kth", "k": 1, "alphabet_size": 0}),
-], ids=["max-0", "max-negative", "kth-0", "kth-negative", "factory-0", "config-0"])
-def test_empty_alphabet_refused(make):
-    # No value could be sensed; the config path used to fall back to 16.
-    with pytest.raises(BadParams, match="alphabet size"):
-        make()
-
-
-@pytest.mark.parametrize("make", [
     lambda: fmux.make_max(257),
     lambda: fmux.make_max(300),
     lambda: fmux.make_kth(2, 256),
     lambda: fmux.make_function("kth", k=1, alphabet_size=300),
-], ids=["max-257", "max-300", "kth-256", "factory-300"])
-def test_alphabet_beyond_one_payload_byte_refused(make):
-    # One byte per payload entry: 299 and 43 would both go out as b"+".
+], ids=["max-0", "max-negative", "kth-0", "kth-negative", "factory-0", "config-0",
+        "max-257", "max-300", "kth-256", "factory-300"])
+def test_alphabet_size_out_of_range_refused(make):
+    # An empty alphabet has no value to sense (the config path used to fall
+    # back to 16); past one payload byte values collide: 299 and 43 both
+    # went out as b"+".
     with pytest.raises(BadParams, match="alphabet size"):
         make()
 

@@ -62,8 +62,8 @@ def test_no_unused_imports(path):
 
 
 def scopes_naming(source, name):
-    """Innermost functions (or "<module>") that read, import or bind an
-    attribute called `name`; strings do not count."""
+    """Innermost functions, or "<module>", whose code names `name` as a
+    variable, an attribute or an import; strings do not count."""
     found = set()
 
     def visit(node, scope):
